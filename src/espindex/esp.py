@@ -618,14 +618,14 @@ def expand(g: Grammar, x: int) -> bytes:
     """The string derived from symbol ``x``, as bytes."""
     if not 1 <= x <= g.sigma + g.n:
         raise IndexError(f"symbol {x} out of range")
-    ids = _expand_ids(g, x)
+    ids = _expand_ids(g.sigma, g.left, g.right, x)
     return g.alphabet[ids - 1].tobytes()
 
 
-def _expand_ids(g: Grammar, x: int) -> np.ndarray:
-    """Terminal-id expansion, one whole layer of variables per pass."""
+def _expand_ids(sigma: int, left: np.ndarray, right: np.ndarray, x: int) -> np.ndarray:
+    """Terminal-id expansion of symbol ``x`` under child arrays ``left`` and
+    ``right``, one whole layer of variables per pass."""
     cur = np.int64([x])
-    sigma = g.sigma
     while True:
         var = cur > sigma
         if not var.any():
@@ -633,8 +633,8 @@ def _expand_ids(g: Grammar, x: int) -> np.ndarray:
         counts = var.astype(np.int64) + 1
         out = np.empty(int(counts.sum()), dtype=np.int64)
         pos = np.cumsum(counts) - counts
-        out[pos] = np.where(var, g.left[cur], cur)
-        out[pos[var] + 1] = g.right[cur[var]]
+        out[pos] = np.where(var, left[cur], cur)
+        out[pos[var] + 1] = right[cur[var]]
         cur = out
 
 

@@ -399,18 +399,26 @@ class EspIndex:
 
     def reverse_lookup(self, i: int, j: int) -> Optional[int]:
         """Rule ordinal k with children (i, j), or None.  Absence is normal."""
+        return int(self.reverse_lookup_many([i], [j])[0]) or None
+
+    def reverse_lookup_many(self, lefts, rights) -> np.ndarray:
+        """Batched :meth:`reverse_lookup` over pairs ``(lefts[t], rights[t])``:
+        rule ordinals, 0 where no rule has those children."""
+        i = np.asarray(lefts, dtype=np.int64)
+        j = np.asarray(rights, dtype=np.int64)
+        out = np.zeros(i.shape, dtype=np.int64)
         total = self.sigma + self.n
-        if self.n == 0 or not (1 <= i <= total and 1 <= j <= total):
-            return None
-        p = self.B.select(0, i) - i
-        if i + 1 <= total:
-            q = self.B.select(0, i + 1) - (i + 1)
-        else:
-            q = self.n
-        r = self.A.select(j, self.A.rank(j, p) + 1)
-        if r is None or r > q:
-            return None
-        return r
+        ok = (i >= 1) & (i <= total) & (j >= 1) & (j <= total)
+        if self.n == 0 or not ok.any():
+            return out
+        i, j = i[ok], j[ok]
+        zero = self.B.select_many(0, np.concatenate((i, i + 1)))
+        p = zero[: i.size] - i
+        nxt = zero[i.size :]
+        q = np.where(nxt > 0, nxt - (i + 1), self.n)  # no (i+1)-th zero: q = n
+        r = self.A.select_many(j, self.A.rank_many(j, p) + 1)
+        out[ok] = np.where((r > 0) & (r <= q), r, 0)
+        return out
 
     # -- navigation -------------------------------------------------------------
 
@@ -491,6 +499,7 @@ class EspIndex:
     def pattern_evidence(self, pattern: bytes) -> Optional[Evidence]:
         """Parse the pattern like the builder would, resolving digrams through
         the reverse-dictionary simulation, and keep boundary symbols raw.
+        Each level resolves all its digrams in two batched lookups.
 
         None means the pattern cannot occur: either it uses a byte the text
         lacks, or a digram strictly inside the stable region has no rule.
@@ -505,8 +514,8 @@ class EspIndex:
             return None
         whole = m == self.u  # no outside context exists for the full text
         w = ids
-        left_syms: List[int] = []
-        right_parts: List[List[int]] = []
+        left_parts: List[np.ndarray] = []
+        right_parts: List[np.ndarray] = []
         level = 1
         while w.size > 1 and level <= self.height:
             thr = self.level_threshold(level)
@@ -517,36 +526,31 @@ class EspIndex:
             else:
                 glo, ghi = _stable_group_range(plan, esp._label_iterations(bound))
             if glo >= ghi:
-                left_syms.extend(int(x) for x in w)
+                left_parts.append(w)
                 w = w[:0]
                 break
-            lcut = int(plan.starts[glo])
-            hcut = int(plan.starts[ghi - 1] + plan.sizes[ghi - 1])
-            left_syms.extend(int(x) for x in w[:lcut])
-            right_parts.append([int(x) for x in w[hcut:]])
-            nxt = np.empty(ghi - glo, dtype=np.int64)
-            for gi in range(glo, ghi):
-                st = int(plan.starts[gi])
-                if plan.sizes[gi] == 2:
-                    k = self.reverse_lookup(int(w[st]), int(w[st + 1]))
-                    if k is None:
-                        return None
-                    nxt[gi - glo] = self.sigma + k
-                else:
-                    ka = self.reverse_lookup(int(w[st + 1]), int(w[st + 2]))
-                    if ka is None:
-                        return None
-                    kb = self.reverse_lookup(int(w[st]), self.sigma + ka)
-                    if kb is None:
-                        return None
-                    nxt[gi - glo] = self.sigma + kb
+            starts = plan.starts[glo:ghi]
+            sizes = plan.sizes[glo:ghi]
+            left_parts.append(w[: starts[0]])
+            right_parts.append(w[starts[-1] + sizes[-1] :])
+            # one probe for every first-stage digram: the pair of a 2-group,
+            # the inner (right) pair of a 3-group; then one for the outer rules
+            tri = sizes == 3
+            first = starts + tri
+            k = self.reverse_lookup_many(w[first], w[first + 1])
+            if not k.all():
+                return None
+            nxt = self.sigma + k
+            if tri.any():
+                k = self.reverse_lookup_many(w[starts[tri]], nxt[tri])
+                if not k.all():
+                    return None
+                nxt[tri] = self.sigma + k
             w = nxt
             level += 1
-        syms = left_syms + [int(x) for x in w]
-        for part in reversed(right_parts):
-            syms.extend(part)
+        syms = np.concatenate(left_parts + [w] + right_parts[::-1])
         runs: List[Tuple[int, int]] = []
-        for s in syms:
+        for s in syms.tolist():
             if runs and runs[-1][0] == s:
                 runs[-1] = (s, runs[-1][1] + 1)
             else:
@@ -786,7 +790,7 @@ class EspIndex:
                         estack.append(int(right[y]))
                         estack.append(int(left[y]))
             else:
-                ids = _expand_ids(self, x)
+                ids = esp._expand_ids(sigma, left, right, x)
                 out += self.alphabet[ids - 1].tobytes()
         return bytes(out)
 
@@ -884,11 +888,13 @@ class EspIndex:
             raise TruncationError("len word count does not match n")
 
         present = np.flatnonzero(table)
-        if present.size != sigma:
-            raise IndexLoadError("alphabet map disagrees with sigma")
+        if present.size != sigma or not np.array_equal(
+            np.sort(table[present]), np.arange(1, sigma + 1)
+        ):
+            raise IndexLoadError("alphabet map is not a permutation of 1..sigma")
         alphabet = present[np.argsort(table[present])].astype(np.uint8)
 
-        bv = BitVector.from_words(b_words.copy(), int(b_bits))
+        bv = BitVector.from_words(b_words, int(b_bits))
         ones_pos = np.flatnonzero(bv.to_array() == 1)
         if ones_pos.size != n:
             raise IndexLoadError("bit vector does not encode n rules")
@@ -926,21 +932,6 @@ class EspIndex:
     def load(cls, path: str) -> "EspIndex":
         with open(path, "rb") as fh:
             return cls.deserialize(fh)
-
-
-def _expand_ids(index: EspIndex, x: int) -> np.ndarray:
-    cur = np.int64([x])
-    sigma = index.sigma
-    while True:
-        var = cur > sigma
-        if not var.any():
-            return cur
-        counts = var.astype(np.int64) + 1
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        pos = np.cumsum(counts) - counts
-        out[pos] = np.where(var, index._left[cur], cur)
-        out[pos[var] + 1] = index._right[cur[var]]
-        cur = out
 
 
 def encode(g: Grammar) -> EspIndex:

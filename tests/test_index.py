@@ -1,14 +1,16 @@
 import io
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from espindex import esp
+from espindex import cli, esp
 from espindex.esp import build_grammar
 from espindex.index import (
     ChecksumError,
     EspIndex,
+    IndexLoadError,
     MagicError,
     TruncationError,
     VersionError,
@@ -97,6 +99,26 @@ class TestReverseLookup:
                 i = rng.randrange(1, total + 1)
                 j = rng.randrange(1, total + 1)
                 assert idx.reverse_lookup(i, j) == table.get((i, j))
+
+    def test_batched_matches_rule_map(self, rng):
+        for trial in range(12):
+            t = text_family(rng, trial, rng.randrange(2, 3000))
+            g = build_grammar(t)
+            idx = encode(g)
+            table = naive_reverse_dict(g)
+            total = g.sigma + g.n
+            pairs = list(table)
+            while len(pairs) < 2 * len(table) + 50:
+                pairs.append((rng.randrange(1, total + 1), rng.randrange(1, total + 1)))
+            # i = sigma+n has no (i+1)-th zero in B; ids out of range are absent
+            pairs += [(total, j) for j in range(1, min(total, 20) + 1)]
+            pairs += [(0, 1), (1, 0), (total + 1, 1), (1, total + 1)]
+            rng.shuffle(pairs)
+            got = idx.reverse_lookup_many([i for i, _ in pairs], [j for _, j in pairs])
+            assert got.tolist() == [table.get(pair, 0) for pair in pairs]
+        fx = fixture_index()
+        assert fx.reverse_lookup_many([1, 2, 3, 6, 6], [3, 3, 3, 1, 6]).tolist() == [2, 3, 0, 0, 0]
+        assert fx.reverse_lookup_many([], []).size == 0
 
 
 class TestNavigation:
@@ -431,6 +453,23 @@ class TestSerialization:
         data[60] ^= 0x40
         with pytest.raises(ChecksumError):
             EspIndex.deserialize(bytes(data))
+
+    @pytest.mark.parametrize("remap", [{"r": 1}, {"d": 900}, {"r": 1, "d": 900}])
+    def test_alphabet_map_must_be_a_permutation(self, tmp_path, remap):
+        idx = encode(build_grammar(b"abracadabra" * 5))
+        buf = io.BytesIO()
+        idx.serialize(buf)
+        data = bytearray(buf.getvalue()[:-8])
+        table = np.frombuffer(bytes(data[40:552]), dtype="<u2").copy()
+        for ch, term in remap.items():
+            table[ord(ch)] = term
+        data[40:552] = table.tobytes()
+        data += struct.pack("<Q", crc64(bytes(data)))  # valid checksum
+        with pytest.raises(IndexLoadError):
+            EspIndex.deserialize(bytes(data))
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(bytes(data))
+        assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "11"]) == 3
 
     def test_concurrent_readers_consistent(self, rng):
         # immutability smoke test: interleaved queries return stable answers
