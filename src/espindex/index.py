@@ -17,6 +17,7 @@ Positions exposed by this module are 1-based throughout; the CLI converts to
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, List, Optional, Tuple, Union
@@ -129,19 +130,71 @@ def _crc64_tables() -> List[List[int]]:
 
 
 _CRC_TABLES = _crc64_tables()
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# the tables in the order bytes 0..7 of a little-endian word use them, flat:
+# byte j with value v selects _CRC_FLAT[256 * j + v]
+_CRC_FLAT = np.array(_CRC_TABLES[::-1], dtype=np.uint64).reshape(-1)
+_CRC_BYTE_BASE = np.arange(8, dtype=np.intp) * 256
+_UNIT_REGISTERS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)  # [v, k]: bit k of v
+
+
+def _crc64_lanes(nwords: int) -> Tuple[int, int]:
+    """(lanes, steps) of :func:`crc64` for ``nwords`` whole words.
+
+    About 2*sqrt(nwords) lanes balance the numpy steps against the per-lane
+    Python fold; the first lanes*steps words run lane-parallel.
+    """
+    lanes = max(1, 2 * math.isqrt(nwords))
+    return lanes, nwords // lanes
 
 
 def crc64(data: Union[bytes, bytearray, memoryview], crc: int = 0) -> int:
-    """CRC-64/XZ, slice-by-8."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
-    crc ^= 0xFFFFFFFFFFFFFFFF
+    """CRC-64/XZ, slice-by-8 with lanes in lockstep.
+
+    The register update is linear over GF(2), so the leading words are cut
+    into equal chunks whose registers, each started at zero, advance together:
+    one table gather per word step.  64 more lanes, seeded with the unit
+    registers and fed zero words, end as the columns of the map that carries
+    a register over one chunk of zeros (the idea of zlib's
+    ``crc32_combine``).  Starting from ``crc``'s register, the chunk
+    registers are folded in order through byte tables of that map; the
+    remaining words and bytes go through the scalar slice-by-8 loop.
+    """
     mv = memoryview(data)
     n = len(mv)
+    reg = crc ^ _MASK64
+    lanes, steps = _crc64_lanes(n // 8)
+    head = 8 * lanes * steps
+    if steps:
+        words = np.zeros((steps, lanes + 64), dtype=np.uint64)
+        words[:, :lanes] = np.frombuffer(mv[:head], dtype="<u8").reshape(lanes, steps).T
+        regs = np.zeros(lanes + 64, dtype=np.uint64)
+        regs[lanes:] = _UNIT_REGISTERS
+        for row in words:
+            x = (regs ^ row).astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            regs = np.bitwise_xor.reduce(_CRC_FLAT[x + _CRC_BYTE_BASE], axis=1)
+        cols = regs[lanes:].reshape(8, 1, 8)
+        z0, z1, z2, z3, z4, z5, z6, z7 = np.bitwise_xor.reduce(
+            np.where(_BYTE_BITS, cols, np.uint64(0)), axis=2
+        ).tolist()
+        for r in regs[:lanes].tolist():
+            reg = r ^ (
+                z0[reg & 0xFF]
+                ^ z1[(reg >> 8) & 0xFF]
+                ^ z2[(reg >> 16) & 0xFF]
+                ^ z3[(reg >> 24) & 0xFF]
+                ^ z4[(reg >> 32) & 0xFF]
+                ^ z5[(reg >> 40) & 0xFF]
+                ^ z6[(reg >> 48) & 0xFF]
+                ^ z7[reg >> 56]
+            )
+    t0, t1, t2, t3, t4, t5, t6, t7 = _CRC_TABLES
     end8 = n - (n % 8)
-    if end8:
-        for w in np.frombuffer(mv[:end8], dtype="<u8"):
-            x = crc ^ int(w)
-            crc = (
+    if end8 > head:
+        for w in np.frombuffer(mv[head:end8], dtype="<u8").tolist():
+            x = reg ^ w
+            reg = (
                 t7[x & 0xFF]
                 ^ t6[(x >> 8) & 0xFF]
                 ^ t5[(x >> 16) & 0xFF]
@@ -152,8 +205,8 @@ def crc64(data: Union[bytes, bytearray, memoryview], crc: int = 0) -> int:
                 ^ t0[(x >> 56) & 0xFF]
             )
     for b in mv[end8:]:
-        crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+        reg = t0[(reg ^ b) & 0xFF] ^ (reg >> 8)
+    return reg ^ _MASK64
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +967,13 @@ class EspIndex:
             left[sigma + 1 :] = d1
             right[sigma + 1 :] = d2
             lengths[sigma + 1 :] = lens
+        # with every length >= 1 a child is strictly shorter than its
+        # parent, so no rule can reach itself and every expansion ends
+        rules = slice(sigma + 1, None)
+        if np.any(lengths[1:] < 1) or np.any(
+            lengths[rules] != lengths[left[rules]] + lengths[right[rules]]
+        ):
+            raise IndexLoadError("rule length is not the sum of its children's")
         idx = cls(
             sigma=sigma,
             n=n,

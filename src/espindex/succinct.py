@@ -245,11 +245,17 @@ class LargeAlphabetSequence:
             raise ValueError(f"symbol {top} exceeds alphabet bound {self.bound}")
         # narrowest machine width that fits keeps the footprint near n*lg(bound)
         self.values = vals.astype(_fit_dtype(self.bound))
-        order = np.argsort(vals, kind="stable")
-        self._pos = order.astype(_fit_dtype(self.n))  # positions grouped by symbol
-        self._starts = np.searchsorted(vals[order], np.arange(1, self.bound + 2)).astype(
-            _fit_dtype(self.n)
-        )
+        # one sort of (symbol, position) packed into a word groups the
+        # positions by symbol, ascending within each group
+        shift = self.n.bit_length()
+        if self.bound.bit_length() + shift > 64:
+            raise ValueError(f"{self.n} positions and symbols up to {self.bound} exceed 64 bits")
+        keys = (vals.astype(np.uint64) << np.uint64(shift)) | np.arange(self.n, dtype=np.uint64)
+        keys.sort()
+        self._pos = (keys & np.uint64((1 << shift) - 1)).astype(_fit_dtype(self.n))
+        # _starts[c - 1]: occurrences of symbols below c, for c in 1..bound+1
+        self._starts = np.zeros(self.bound + 1, dtype=_fit_dtype(self.n))
+        np.cumsum(np.bincount(vals, minlength=self.bound + 1)[1:], out=self._starts[1:])
 
     def __len__(self) -> int:
         return self.n

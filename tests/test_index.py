@@ -1,6 +1,10 @@
+import hashlib
 import io
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from espindex.index import (
     MagicError,
     TruncationError,
     VersionError,
+    _crc64_lanes,
     crc64,
     encode,
     pack_ints,
@@ -380,6 +385,16 @@ class TestLevelMetadata:
                 assert idx.level_threshold(lv) == g.level_threshold(lv)
 
 
+def crc64_bitwise(data: bytes, crc: int = 0) -> int:
+    """CRC-64/XZ one bit at a time, straight from the reflected polynomial."""
+    reg = crc ^ 0xFFFFFFFFFFFFFFFF
+    for byte in data:
+        reg ^= byte
+        for _ in range(8):
+            reg = (reg >> 1) ^ (0xC96C5795D7870F42 if reg & 1 else 0)
+    return reg ^ 0xFFFFFFFFFFFFFFFF
+
+
 class TestPacking:
     def test_roundtrip(self, rng):
         for width in (1, 3, 7, 16, 33, 63, 64):
@@ -393,9 +408,21 @@ class TestPacking:
 
     def test_crc64_chunking_independence(self, rng):
         data = rng.randbytes(1000)
-        assert crc64(data) == crc64(data[:7], 0) if False else True
-        # single-shot equals byte-tail path around the 8-byte boundary
-        assert crc64(data[:993]) == crc64(bytes(data[:993]))
+        for k in (0, 1, 7, 8, 9, 993, len(data)):
+            assert crc64(data[k:], crc64(data[:k])) == crc64(data), k
+
+    def test_crc64_matches_bitwise_reference(self, rng):
+        lengths = list(range(65))
+        for nwords in (4, 100, 1000, 12345):
+            lanes, steps = _crc64_lanes(nwords)
+            edge = 8 * lanes * steps  # no word left over for the scalar loop
+            lengths += [edge - 8, edge - 1, edge, edge + 1, edge + 8]
+        lengths += [rng.randrange(100_000) for _ in range(3)] + [100_000]
+        for m in lengths:
+            data = rng.randbytes(m)
+            assert crc64(data) == crc64_bitwise(data), m
+            init = rng.getrandbits(64)
+            assert crc64(data, init) == crc64_bitwise(data, init), m
 
 
 class TestSerialization:
@@ -470,6 +497,46 @@ class TestSerialization:
         bad = tmp_path / "bad.idx"
         bad.write_bytes(bytes(data))
         assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "11"]) == 3
+
+    @pytest.mark.parametrize("kind, size, sha256", [
+        (5, 30000, "b0de7ee7c2a27b205e7f95ac67da5cbe8378fb85b4a482d4ed0226f915cd2d89"),
+        (1, 4000, "a8402dfd909d67f454a59803f5792bdc8b36aca915ad9ac684c83b81f39d864a"),
+    ])
+    def test_file_bytes_pinned(self, kind, size, sha256):
+        # digests of files written with the scalar checksum loop: the bytes must not move
+        t = text_family(random.Random(1234 + kind), kind, size)
+        buf = io.BytesIO()
+        encode(build_grammar(t)).serialize(buf)
+        data = buf.getvalue()
+        assert hashlib.sha256(data).hexdigest() == sha256
+        assert struct.unpack("<Q", data[-8:])[0] == crc64_bitwise(data[:-8])
+
+    @pytest.mark.parametrize("mutation", ["self_right_child", "first_rule_length",
+                                          "last_inner_rule_length"])
+    def test_rule_lengths_must_add_up(self, tmp_path, mutation):
+        idx = encode(build_grammar(b"abracadabra" * 50))
+        right, lengths = idx._right.copy(), idx._lengths.copy()
+        if mutation == "self_right_child":
+            right[idx.root] = idx.root  # extract of such a file never returns
+        elif mutation == "first_rule_length":
+            lengths[idx.sigma + 1] += 1
+        else:
+            lengths[idx.root - 1] += 1
+        bad_idx = EspIndex(
+            sigma=idx.sigma, n=idx.n, u=idx.u, root=idx.root, alphabet=idx.alphabet,
+            left=idx._left, right=right, lengths=lengths,
+        )
+        bad = tmp_path / "bad.idx"
+        bad_idx.save(str(bad))  # with a valid checksum
+        with pytest.raises(IndexLoadError):
+            EspIndex.load(str(bad))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "espindex.cli", "extract", "-x", str(bad),
+             "-p", "0", "-l", str(idx.u)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 3
 
     def test_concurrent_readers_consistent(self, rng):
         # immutability smoke test: interleaved queries return stable answers

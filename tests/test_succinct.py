@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from espindex import build_grammar, encode
-from espindex.succinct import BitVector, LargeAlphabetSequence
+from espindex.succinct import BitVector, LargeAlphabetSequence, _fit_dtype
 
 
 class TestBitVector:
@@ -165,6 +165,29 @@ class TestLargeAlphabetSequence:
         seq = LargeAlphabetSequence([5, 1, 5, 2])
         assert [seq.rank(5, 4) for _ in range(3)] == [2, 2, 2]
         assert [seq.select(5, 2) for _ in range(3)] == [3, 3, 3]
+
+    @pytest.mark.parametrize("n, symbols, bound", [
+        (5000, range(1, 301), 300),
+        (70000, range(1, 4), 3),  # positions need 32 bits
+        (0, range(1, 2), 0),
+        (0, range(1, 2), 7),
+        (1, range(1, 2), 1),
+        (300, range(1, 2), 1),  # one symbol throughout
+        (4000, range(2, 600, 3), 600),  # absent symbols
+        (2000, range(1, 51), 90_000),  # bound far above the largest symbol
+    ])
+    def test_position_index_matches_argsort(self, n, symbols, bound):
+        vals = np.random.default_rng(n + bound).choice(np.array(symbols), n)
+        seq = LargeAlphabetSequence(vals, bound=bound)
+        order = np.argsort(vals, kind="stable")
+        pos = order.astype(_fit_dtype(n))
+        starts = np.searchsorted(vals[order], np.arange(1, bound + 2)).astype(_fit_dtype(n))
+        assert seq._pos.dtype == pos.dtype and np.array_equal(seq._pos, pos)
+        assert seq._starts.dtype == starts.dtype and np.array_equal(seq._starts, starts)
+
+    def test_position_keys_must_fit_a_word(self):
+        with pytest.raises(ValueError):
+            LargeAlphabetSequence([1], bound=1 << 63)  # 64 + 1 bits
 
     def test_size_report(self, capsys):
         # soft bound: a small constant of n * lg(bound) bits; reported only
