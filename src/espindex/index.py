@@ -624,18 +624,20 @@ class EspIndex:
         )
 
     def _contains_mask(self, q: int) -> np.ndarray:
+        """Symbols whose expansion tree contains a node labeled q (q included).
+
+        No rule of a round before q's own can contain q, so the sweep starts
+        at that round.  Within a round, two passes: the first settles rules
+        whose children come from earlier rounds, the second the outer rules
+        of 3-groups, whose right child is a first-stage rule of the same round.
+        """
         mask = np.zeros(self.sigma + self.n + 1, dtype=bool)
         mask[q] = True
-        for lv in range(1, self.height + 1):
+        for lv in range(max(int(self.level_of[q]), 1), self.height + 1):
             lo, hi = int(self.level_starts[lv]), int(self.level_starts[lv + 1])
-            if lo >= hi:
-                continue
-            ids = np.arange(lo, hi, dtype=np.int64)
-            inner = self._right[ids] >= lo
-            plain = ids[~inner]  # both children from earlier rounds: resolved
-            mask[plain] |= mask[self._left[plain]] | mask[self._right[plain]]
-            outer = ids[inner]
-            mask[outer] |= mask[self._left[outer]] | mask[self._right[outer]]
+            seg, l, r = mask[lo:hi], self._left[lo:hi], self._right[lo:hi]
+            for _ in range(2):
+                seg |= mask[l] | mask[r]
         return mask
 
     def core_occurrences(self, q: int) -> np.ndarray:
@@ -736,7 +738,11 @@ class EspIndex:
         return grp_end - np.arange(occ.size) + 1
 
     def _candidates(self, ev: Evidence, m: int) -> Tuple[np.ndarray, int]:
-        """Sorted unique candidate starts from core occurrences (pre-verify)."""
+        """Ascending candidate starts from core occurrences (pre-confirmation).
+
+        Nodes labeled q never share a start, so the occurrences, and the
+        candidates derived from them, are already strictly increasing.
+        """
         q, r = ev.runs[ev.core_index]
         occ = self.core_occurrences(q)
         occ_c = int(occ.size)
@@ -745,24 +751,33 @@ class EspIndex:
         if r > 1:
             occ = occ[self._chain_lengths(occ, int(self._lengths[q])) >= r]
         cand = occ - ev.core_pattern_offset
-        cand = cand[(cand >= 1) & (cand + m - 1 <= self.u)]
-        return np.unique(cand), occ_c
+        return cand[(cand >= 1) & (cand + m - 1 <= self.u)], occ_c
 
-    def _run_filter(self, cand: np.ndarray, sym: int, mult: int, char_off: int) -> np.ndarray:
-        """Keep candidates that have ``mult`` consecutive sym-nodes starting
-        at relative character offset ``char_off``."""
-        occ = self.core_occurrences(sym)
-        if occ.size == 0:
-            return cand[:0]
-        need = cand + char_off
-        idx = np.minimum(np.searchsorted(occ, need), occ.size - 1)
-        ok = occ[idx] == need
-        if mult > 1:
-            chain = self._chain_lengths(occ, int(self._lengths[sym]))
-            ok &= chain[idx] >= mult
-        return cand[ok]
+    def _nodes_at(self, pos: np.ndarray, want_len: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(symbol, start) of the first node no longer than ``want_len[t]`` on
+        the root-to-leaf path through 1-based position ``pos[t]``.
 
-    _VERIFY_FALLBACK = 64  # few enough survivors: extraction beats more occ scans
+        Lengths strictly decrease down a path, so a symbol of length L is a
+        tree node starting at p exactly when the node found for (p, L) is
+        that symbol and starts at p.
+        """
+        node = np.full(pos.shape, self.root, dtype=np.int64)
+        rem = pos - 1  # offset of pos inside the node reached so far
+        act = np.flatnonzero(want_len < self._lengths[self.root])
+        x, r, want = node[act], rem[act], want_len[act]
+        while act.size:
+            l = self._left[x]
+            ll = self._lengths[l]
+            right = r >= ll
+            x = np.where(right, self._right[x], l)
+            np.subtract(r, ll, out=r, where=right)
+            more = want < self._lengths[x]
+            if not more.all():
+                done = ~more
+                node[act[done]] = x[done]
+                rem[act[done]] = r[done]
+                act, x, r, want = act[more], x[more], r[more], want[more]
+        return node, pos - rem
 
     def locate(self, pattern: bytes, _stats: Optional[dict] = None) -> List[int]:
         """All 1-based start positions of the pattern, ascending, no duplicates."""
@@ -776,30 +791,30 @@ class EspIndex:
         cand, occ_c = self._candidates(ev, len(pattern))
         if _stats is not None:
             _stats.update(occ_c=occ_c, candidates=int(cand.size), evidence_runs=len(ev.runs))
-        if len(ev.runs) == 1:
-            # the chain of core nodes covers the whole window: already proven
-            return cand.tolist()
-        # confirm the remaining runs by node membership (equivalent to the
-        # adjacency embedding); fall back to extraction once few remain
-        offs: List[int] = []
+        # in a true occurrence every evidence symbol is a tree node, and nodes
+        # covering the window prove it: confirm each copy of every non-core
+        # run as a node at its offset, longest symbols first, in waves of
+        # 1, 2, 4, ... copies (few copies while candidates are many)
+        syms, offs = [], []
         off = 0
-        for sym, mult in ev.runs:
-            offs.append(off)
-            off += int(self._lengths[sym]) * mult
-        order = sorted(
-            (ri for ri in range(len(ev.runs)) if ri != ev.core_index),
-            key=lambda ri: -int(self._lengths[ev.runs[ri][0]]),
-        )
-        confirmed_all = True
-        for ri in order:
-            if cand.size <= self._VERIFY_FALLBACK:
-                confirmed_all = False
-                break
-            sym, mult = ev.runs[ri]
-            cand = self._run_filter(cand, sym, mult, offs[ri])
-        if confirmed_all:
-            return cand.tolist()
-        return [int(c) for c in cand if self.verify_candidate(int(c), pattern)]
+        for ri, (sym, mult) in enumerate(ev.runs):
+            slen = int(self._lengths[sym])
+            if ri != ev.core_index:
+                syms += [sym] * mult
+                offs += range(off, off + slen * mult, slen)
+            off += slen * mult
+        lens = self._lengths[syms]
+        order = np.argsort(-lens, kind="stable")
+        syms, offs, lens = np.int64(syms)[order], np.int64(offs)[order], lens[order]
+        lo, width = 0, 1
+        while lo < syms.size and cand.size:
+            wave = slice(lo, lo + width)
+            pos = (cand[:, None] + offs[wave]).ravel()
+            node, start = self._nodes_at(pos, np.tile(lens[wave], cand.size))
+            hit = (node == np.tile(syms[wave], cand.size)) & (start == pos)
+            cand = cand[hit.reshape(cand.size, -1).all(axis=1)]
+            lo, width = lo + width, 2 * width
+        return cand.tolist()
 
     def count(self, pattern: bytes) -> int:
         """Number of occurrences (the size of locate's answer)."""

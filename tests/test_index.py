@@ -258,7 +258,39 @@ class TestCandidatesAndVerification:
                     unfold(int(g.right[x]), off + int(g.lengths[g.left[x]]))
             unfold(g.root, 1)
             for q in rng.sample(sorted(positions), min(12, len(positions))):
-                assert idx.core_occurrences(q).tolist() == sorted(positions[q])
+                occ = idx.core_occurrences(q)
+                assert occ.tolist() == sorted(positions[q])
+                assert np.all(np.diff(occ) > 0)
+
+    def test_contains_mask_matches_ancestor_closure(self, rng):
+        texts = [b"abcabcabd" * 7, b"a" * 50 + b"b" + b"a" * 50]
+        texts += [text_family(rng, kind, rng.randrange(60, 300)) for kind in range(6)]
+        same_round_inner = 0
+        for t in texts:
+            idx = encode(build_grammar(t))
+            total = idx.sigma + idx.n
+            # descendants of every symbol, by recursion over the children
+            below = {}
+
+            def descendants(x):
+                if x not in below:
+                    below[x] = {x}
+                    if x > idx.sigma:
+                        below[x] |= descendants(int(idx._left[x]))
+                        below[x] |= descendants(int(idx._right[x]))
+                return below[x]
+
+            for x in range(1, total + 1):
+                descendants(x)
+            for q in range(1, total + 1):
+                want = np.zeros(total + 1, dtype=bool)
+                want[[y for y in range(1, total + 1) if q in below[y]]] = True
+                assert np.array_equal(idx._contains_mask(q), want), (t[:20], q)
+            rules = np.arange(idx.sigma + 1, total + 1)
+            inner = idx._right[rules]
+            same_round_inner += int(np.sum(idx.level_of[inner] == idx.level_of[rules]))
+        # first-stage rules of 3-groups, contained by an outer rule of their own round
+        assert same_round_inner > 0
 
     def test_candidate_completeness(self, rng):
         for trial in range(40):
@@ -351,6 +383,32 @@ class TestQueries:
                 assert idx.locate(p) == naive_search(t, p)
                 absent = rng.randbytes(m)
                 assert idx.locate(absent) == naive_search(t, absent)
+
+    def test_locate_matches_candidate_verification(self, rng):
+        """Node-membership confirmation against extraction of every candidate."""
+        runs = b"a" * 50 + b"b" + b"a" * 50
+        cases = [(text_family(rng, kind, rng.choice([3000, 8000])), []) for kind in range(12)]
+        cases.append((runs, [b"a" * 10 + b"b" + b"a" * 3, b"a" * 5 + b"b" + b"a" * 40, b"aaba"]))
+        seen = {"few": 0, "many": 0, "repeated run": 0, "one run": 0, "whole text": 0}
+        for t, pats in cases:
+            idx = encode(build_grammar(t))
+            for _ in range(12):
+                m = rng.randrange(2, min(len(t), 15) + 1)
+                st = rng.randrange(0, len(t) - m + 1)
+                pats.append(t[st : st + m])
+            pats.append(t)
+            for p in pats:
+                ev = idx.pattern_evidence(p)
+                cand, _ = idx._candidates(ev, len(p))
+                extracted = [int(c) for c in cand if idx.verify_candidate(int(c), p)]
+                assert idx.locate(p) == extracted == naive_search(t, p)
+                seen["many" if cand.size > 64 else "few"] += 1
+                seen["one run"] += len(ev.runs) == 1
+                seen["whole text"] += len(p) == len(t)
+                seen["repeated run"] += any(
+                    r > 1 for i, (_, r) in enumerate(ev.runs) if i != ev.core_index
+                )
+        assert min(seen.values()) > 0, seen
 
     def test_extract_examples(self, rng):
         t = text_family(rng, 0, 1000)
