@@ -92,10 +92,11 @@ def _gather_patterns(args) -> List[Tuple[str, bytes]]:
         pats.append((f"q{i}", q.encode("utf-8", "surrogateescape")))
     if args.file:
         with open(args.file, "rb") as fh:
-            for j, line in enumerate(fh.read().split(b"\n")):
-                if line == b"" and j > 0:
-                    continue  # trailing blank from final newline
-                pats.append((f"f{j}", line))
+            data = fh.read()
+        lines = data.split(b"\n")
+        if data.endswith(b"\n"):
+            lines.pop()  # the empty piece after the final newline is not a line
+        pats.extend((f"f{j}", line) for j, line in enumerate(lines))
     if args.hex:
         pats = [(pid, bytes.fromhex(raw.decode("ascii"))) for pid, raw in pats]
     if not pats:

@@ -127,123 +127,69 @@ def _label_iterations(alphabet_bound: int) -> int:
         t += 1
 
 
-def _label_step(vals: np.ndarray) -> np.ndarray:
-    """One relabeling round: position i gets 2p + bit(p, vals[i]) where p is
-    the least bit in which vals[i] differs from its left neighbour."""
-    prev = np.empty_like(vals)
-    prev[0] = vals[0] ^ 1  # boundary sentinel: differ in bit 0
-    prev[1:] = vals[:-1]
-    x = vals ^ prev
-    lsb = x & -x
-    p = np.log2(lsb.astype(np.float64)).astype(np.int64)  # exact: lsb is a power of two
-    return 2 * p + ((vals >> p) & 1)
+# least of 0, 1, 2 differing from both neighbours, indexed by min(neighbour, 3);
+# a missing neighbour (-1) reads the last row or column
+_NB = np.array([0, 1, 2, 3, -1])
+_PICK = np.where((_NB[:, None] != 0) & (_NB != 0), 0,
+                 np.where((_NB[:, None] != 1) & (_NB != 1), 1, 2))
 
 
-def _remap_to_ternary(lab: np.ndarray) -> np.ndarray:
-    """Replace labels above 2, one value class at a time, by the least value
-    in {0,1,2} differing from both current neighbours (keeps run-freeness)."""
-    mx = int(lab.max(initial=0))
-    for v in range(mx, 2, -1):
-        idx = np.flatnonzero(lab == v)
-        if idx.size == 0:
-            continue
-        left = np.full(idx.size, -1, dtype=np.int64)
-        has_l = idx > 0
-        left[has_l] = lab[idx[has_l] - 1]
-        right = np.full(idx.size, -1, dtype=np.int64)
-        has_r = idx < lab.size - 1
-        right[has_r] = lab[idx[has_r] + 1]
-        pick = np.where(
-            (left != 0) & (right != 0),
-            0,
-            np.where((left != 1) & (right != 1), 1, 2),
-        )
-        lab[idx] = pick
-    return lab
+def _labels(vals: np.ndarray, inside: np.ndarray, alphabet_bound: int) -> np.ndarray:
+    """Ternary labels of the blocks ``inside`` marks, -1 elsewhere.
 
-
-def _reduce_labels(vals: np.ndarray, alphabet_bound: int) -> np.ndarray:
-    lab = vals.astype(np.int64, copy=True)
-    for _ in range(_label_iterations(alphabet_bound)):
-        lab = _label_step(lab)
-    return _remap_to_ternary(lab)
-
-
-_SCALAR_CUTOFF = 64  # below this, plain-python beats numpy dispatch overhead
-
-
-def _landmarks_scalar(vals, alphabet_bound: int) -> np.ndarray:
-    """Scalar twin of the vectorized landmark pipeline (same results)."""
-    lab = list(vals)
-    m = len(lab)
-    for _ in range(_label_iterations(alphabet_bound)):
-        prev = lab[0] ^ 1
-        nxt = []
-        for v in lab:
-            x = v ^ prev
-            p = (x & -x).bit_length() - 1
-            nxt.append(2 * p + ((v >> p) & 1))
-            prev = v
-        lab = nxt
-    for v in range(max(lab), 2, -1):
-        for i in range(m):
-            if lab[i] != v:
-                continue
-            left = lab[i - 1] if i > 0 else -1
-            right = lab[i + 1] if i < m - 1 else -1
-            if left != 0 and right != 0:
-                lab[i] = 0
-            elif left != 1 and right != 1:
-                lab[i] = 1
-            else:
-                lab[i] = 2
-    is_max = [False] * m
-    for i in range(1, m):
-        if lab[i] > lab[i - 1] and (i == m - 1 or lab[i] > lab[i + 1]):
-            is_max[i] = True
-    lms = []
-    for i in range(1, m):
-        if is_max[i]:
-            lms.append(i)
-        elif lab[i] < lab[i - 1] and (i == m - 1 or lab[i] < lab[i + 1]):
-            if not (is_max[i - 1] or (i + 1 < m and is_max[i + 1])):
-                lms.append(i)
-    if len(lms) >= 2 and lms[-1] == m - 2 and lms[-1] - lms[-2] == 2:
-        lms[-1] = m - 1
-    return np.asarray(lms, dtype=np.int64)
-
-
-def _unit_landmarks(vals: np.ndarray, alphabet_bound: int) -> np.ndarray:
-    if vals.size <= _SCALAR_CUTOFF:
-        return _landmarks_scalar(vals.tolist(), alphabet_bound)
-    return _landmarks_from_labels(_reduce_labels(vals, alphabet_bound))
-
-
-def _landmarks_from_labels(lab: np.ndarray) -> np.ndarray:
-    """Landmarks: local maxima, then local minima not adjacent to one.
-
-    Position 0 is never a landmark (a landmark pairs with its left
-    neighbour).  A final gap-2 landmark sitting one short of the block end is
-    shifted onto the end so the trailing single never dangles.
+    A block is a maximal run of True in ``inside``; it must be run-free, and
+    two blocks must not touch.  Each round gives position i the label
+    2p + bit(p, vals[i]), p the least bit in which vals[i] differs from its
+    left neighbour; a block's first position is compared with a sentinel that
+    differs in bit 0.  Labels above 2 are then replaced, one value class at a
+    time, by the least value in {0,1,2} differing from both neighbours in the
+    block (keeps run-freeness).
     """
-    m = lab.size
-    is_max = np.zeros(m, dtype=bool)
-    is_min = np.zeros(m, dtype=bool)
-    if m >= 3:
-        mid = lab[1:-1]
-        is_max[1:-1] = (mid > lab[:-2]) & (mid > lab[2:])
-        is_min[1:-1] = (mid < lab[:-2]) & (mid < lab[2:])
-    if m >= 2:
-        is_max[m - 1] = lab[m - 1] > lab[m - 2]
-        is_min[m - 1] = lab[m - 1] < lab[m - 2]
-    nb_max = np.zeros(m, dtype=bool)
-    nb_max[:-1] |= is_max[1:]
-    nb_max[1:] |= is_max[:-1]
-    lms = np.flatnonzero(is_max | (is_min & ~nb_max))
-    if lms.size >= 2 and lms[-1] == m - 2 and lms[-1] - lms[-2] == 2:
-        lms = lms.copy()
-        lms[-1] = m - 1
-    return lms
+    fresh = ~(inside & np.concatenate(([False], inside[:-1])))  # block starts, outside
+    lab, prev = vals, np.empty_like(vals)
+    for _ in range(_label_iterations(alphabet_bound)):
+        prev[1:] = lab[:-1]
+        x = lab ^ prev
+        x[fresh] = 1
+        p = np.log2(x & -x).astype(np.int64)  # exact: a power of two
+        lab = 2 * p + ((lab >> p) & 1)
+    lab = np.concatenate((np.where(inside, lab, -1), [-1]))  # lab[-1] pads both ends
+    for v in range(int(lab.max()), 2, -1):
+        idx = (lab == v).nonzero()[0]
+        lab[idx] = _PICK[np.minimum(lab[idx - 1], 3), np.minimum(lab[idx + 1], 3)]
+    return lab[:-1]
+
+
+def _landmark_rule(a, b, c, d, e):
+    """Whether c is a landmark, from the labels a..e at offsets -2..2 (-1:
+    outside a block): a local maximum, or a local minimum with no maximum
+    next to it.  A block's first symbol never is (a landmark pairs with its
+    left neighbour); a block end on the right does not count against it."""
+    def peak(left, x, right):
+        return (x > left) & (x > right) & (left >= 0)
+
+    dip = (c >= 0) & (c < b) & ((c < d) | (d < 0))
+    return peak(b, c, d) | (dip & ~peak(a, b, c) & ~peak(c, d, e))
+
+
+# the rule tabulated over labels 0, 1, 2 and -1, which reads the last index
+_LANDMARK = _landmark_rule(*np.meshgrid(*[np.array([0, 1, 2, -1])] * 5, indexing="ij"))
+
+
+def _landmarks(vals: np.ndarray, inside: np.ndarray, alphabet_bound: int) -> np.ndarray:
+    """Landmarks of the blocks ``inside`` marks (see ``_labels``).
+
+    A block's final gap-2 landmark one short of the block end is shifted
+    onto the end so the trailing single never dangles.
+    """
+    pad = np.concatenate(([-1, -1], _labels(vals, inside, alphabet_bound), [-1, -1]))
+    lm = _LANDMARK[pad[:-4], pad[1:-3], pad[2:-2], pad[3:-1], pad[4:]]
+    last = (pad[2:-2] >= 0) & (pad[3:-1] < 0)
+    # landmarks are never adjacent, so a gap of 2 lies inside one block
+    move = lm[:-3] & lm[2:-1] & last[3:]
+    lm[2:-1] ^= move
+    lm[3:] |= move
+    return lm.nonzero()[0]
 
 
 def alphabet_reduction(block, alphabet_bound: Optional[int] = None) -> np.ndarray:
@@ -259,58 +205,7 @@ def alphabet_reduction(block, alphabet_bound: Optional[int] = None) -> np.ndarra
     if np.any(vals[1:] == vals[:-1]):
         raise ValueError("block is not run-free (adjacent equal symbols)")
     bound = int(vals.max()) if alphabet_bound is None else int(alphabet_bound)
-    return _unit_landmarks(vals, bound)
-
-
-def _type2_groups(m: int, lms: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
-    """Tile a type2 block of length m with groups anchored at landmarks.
-
-    Returns (starts, sizes, anchors); anchor -1 marks boundary artifacts
-    (leading pad pairs) that no landmark owns.
-    """
-    if m == 2:
-        return [0], [2], [-1]
-    if m == 3:
-        return [0], [3], [-1]
-    starts: List[int] = []
-    sizes: List[int] = []
-    anchors: List[int] = []
-    k = lms.size
-    if k == 0:
-        raise AssertionError("type2 block of length >= 4 produced no landmarks")
-    lead = int(lms[0]) - 1
-    if lead == 2:
-        starts.append(0)
-        sizes.append(2)
-        anchors.append(-1)
-    for idx in range(k):
-        q = int(lms[idx])
-        gstart, gend = q - 1, q + 1
-        nxt = int(lms[idx + 1]) - 1 if idx + 1 < k else m
-        if nxt - gend == 1:  # lone symbol before the next pair joins this group
-            gend += 1
-        anchor = q
-        if idx == 0 and lead == 1:
-            if gend - gstart == 2:
-                gstart = 0  # leading single joins the first pair as a triple
-            else:
-                starts.append(0)
-                sizes.append(2)
-                anchors.append(-1)
-                gstart = 2  # rebalance: 1 + 3 would make a 4-wide group
-                anchor = -1
-        starts.append(gstart)
-        sizes.append(gend - gstart)
-        anchors.append(anchor)
-    # the tiling must be exact; anything else is a landmark-spacing bug
-    pos = 0
-    for st, sz in zip(starts, sizes):
-        if st != pos or sz not in (2, 3):
-            raise AssertionError(f"bad type2 tiling at {st} (size {sz}, expected start {pos})")
-        pos += sz
-    if pos != m:
-        raise AssertionError(f"type2 tiling covers {pos} of {m} symbols")
-    return starts, sizes, anchors
+    return _landmarks(vals, np.ones(vals.size, dtype=bool), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +226,8 @@ class LevelPlan:
     uglo: np.ndarray  # unit -> first group index
     ughi: np.ndarray  # unit -> one past last group index
     t2info: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    # unit index -> (landmark positions, per-group anchors), absolute in s
+    # unit index -> (landmark positions, per-group anchors), absolute in s;
+    # anchor -1 marks groups no landmark owns
 
 
 def _merge_units(kinds, bs, be, m):
@@ -348,7 +244,13 @@ def _merge_units(kinds, bs, be, m):
 
 
 def plan_level(s, threshold: Optional[int] = None, alphabet_bound: Optional[int] = None) -> LevelPlan:
-    """Grouping decisions for one parsing round (no rule creation)."""
+    """Grouping decisions for one parsing round (no rule creation).
+
+    Units of type1, type3 and type2 blocks shorter than 4 are cut into pairs,
+    the last group taking an odd tail.  Type2 blocks of length >= 4 are
+    relabelled together in one pass over the string and cut one symbol
+    before each landmark; a group is anchored at the landmark it was cut for.
+    """
     arr = _as_symbols(s)
     m = arr.size
     if m < 2:
@@ -358,46 +260,40 @@ def plan_level(s, threshold: Optional[int] = None, alphabet_bound: Optional[int]
     kinds, bs, be = _factorize_arrays(arr, thr)
     ukind, ustart, uend = _merge_units(kinds, bs, be, m)
     ulen = uend - ustart
-    nunits = ukind.size
+    big = (ukind == TYPE2) & (ulen >= 4)
+    in_big = np.repeat(big, ulen)  # a run always separates two type2 blocks
 
-    t2big = (ukind == TYPE2) & (ulen >= 4)
-    counts = (ulen // 2).astype(np.int64)
-    t2_groups: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    t2info: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for ui in np.flatnonzero(t2big):
-        off = int(ustart[ui])
-        vals = arr[off : int(uend[ui])]
-        lms = _unit_landmarks(vals, bound)
-        st, sz, anc = _type2_groups(vals.size, lms)
-        counts[ui] = len(st)
-        gst = np.asarray(st, dtype=np.int64) + off
-        gsz = np.asarray(sz, dtype=np.int64)
-        ganc = np.asarray(anc, dtype=np.int64)
-        ganc[ganc >= 0] += off
-        t2_groups[ui] = (gst, gsz)
-        t2info[ui] = (lms + off, ganc)
+    lms = _landmarks(arr, in_big, bound)
+    # plain units: a cut at every second symbol, an odd tail joining the last pair
+    cut = ~in_big & ((np.arange(m) - np.repeat(ustart, ulen)) % 2 == 0)
+    cut[uend[~big] - 1] = False
+    cut[ustart] = True
+    cut[lms - 1] = True
+    anchor = np.full(m, -1, dtype=np.int64)
+    anchor[lms - 1] = lms
+    # a block whose first landmark is its third symbol leads with a single:
+    # it joins a following pair as a triple; a following triple is
+    # rebalanced to 2 + 2 (1 + 3 would make a 4-wide group), both unanchored
+    head = ustart[big]
+    head = head[(anchor[head] < 0) & (anchor[head + 1] >= 0)]
+    cut[head + 1] = False
+    pair = cut[head + 3]
+    anchor[head[pair]] = head[pair] + 2
+    cut[head[~pair] + 2] = True
 
-    ughi = np.cumsum(counts)
-    uglo = ughi - counts
-    total = int(ughi[-1]) if nunits else 0
-    starts = np.empty(total, dtype=np.int64)
-    sizes = np.empty(total, dtype=np.int64)
+    starts = cut.nonzero()[0]
+    sizes = np.concatenate((starts[1:], [m])) - starts
+    if sizes.min() < 2 or sizes.max() > 3:  # a landmark-spacing bug
+        bad = ((sizes < 2) | (sizes > 3)).argmax()
+        raise AssertionError(f"bad type2 tiling: group at {starts[bad]} has size {sizes[bad]}")
+    uglo = np.searchsorted(starts, ustart)
+    ughi = np.concatenate((uglo[1:], [starts.size]))
 
-    plain = np.flatnonzero(~t2big)
-    if plain.size:
-        g = counts[plain]
-        rep = np.repeat(plain, g)
-        within = np.arange(rep.size, dtype=np.int64) - np.repeat(np.cumsum(g) - g, g)
-        pos = np.repeat(uglo[plain], g) + within
-        st = ustart[rep] + 2 * within
-        starts[pos] = st
-        sizes[pos] = 2
-        last = within == np.repeat(g - 1, g)
-        sizes[pos[last]] = (uend[rep] - st)[last]
-    for ui, (gst, gsz) in t2_groups.items():
-        lo, hi = int(uglo[ui]), int(ughi[ui])
-        starts[lo:hi] = gst
-        sizes[lo:hi] = gsz
+    units = big.nonzero()[0]
+    lo, hi = np.searchsorted(lms, ustart[units]), np.searchsorted(lms, uend[units])
+    ganchor = anchor[starts]
+    t2info = {u: (lms[l0:l1], ganchor[g0:g1]) for u, l0, l1, g0, g1 in zip(
+        units.tolist(), lo.tolist(), hi.tolist(), uglo[units].tolist(), ughi[units].tolist())}
 
     return LevelPlan(
         m=m,

@@ -114,6 +114,21 @@ def test_empty_pattern_line_continues(corpus, capsys):
     assert captured.out.count("\n") == 1
 
 
+@pytest.mark.parametrize("layout, blank", [(b"%s\n\n%s\n", "f1"), (b"\n%s\n%s\n", "f0")])
+def test_blank_pattern_file_line_is_an_error(corpus, tmp_path, capsys, layout, blank):
+    # a blank line is an empty pattern wherever it stands in the file
+    text, _, ifile = corpus
+    pats = [p for p in (text[i : i + 6] for i in range(0, 600, 6)) if b"\n" not in p][:2]
+    pfile = tmp_path / "pats.txt"
+    pfile.write_bytes(layout % tuple(pats))
+    rc = main(["count", "-x", ifile, "-f", str(pfile)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert f"{blank}: empty pattern" in captured.err
+    rows = [line.split("\t") for line in captured.out.splitlines()]
+    assert [int(r[1]) for r in rows] == [len(naive_search(text, p)) for p in pats]
+
+
 def test_extract_round_trip(corpus, capsysbinary):
     text, _, ifile = corpus
     rc = main(["extract", "-x", ifile, "-p", "0", "-l", str(len(text))])

@@ -1,4 +1,5 @@
 import math
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from espindex.esp import (
     TYPE2,
     TYPE3,
     BuildReverseDict,
+    _label_iterations,
     alphabet_reduction,
     build_grammar,
     expand,
     factorize_types,
     log_star,
     parse_level,
+    plan_level,
 )
 
 from conftest import text_family
@@ -27,6 +30,141 @@ def run_free(rng, size, hi=255):
         if v != out[-1]:
             out.append(v)
     return out
+
+
+# Per-block landmark and tiling routines that plan_level's one segmented pass
+# replaced; kept unchanged as the reference the pass is checked against.
+
+
+def _landmarks_scalar(vals, alphabet_bound: int) -> np.ndarray:
+    """Scalar twin of the vectorized landmark pipeline (same results)."""
+    lab = list(vals)
+    m = len(lab)
+    for _ in range(_label_iterations(alphabet_bound)):
+        prev = lab[0] ^ 1
+        nxt = []
+        for v in lab:
+            x = v ^ prev
+            p = (x & -x).bit_length() - 1
+            nxt.append(2 * p + ((v >> p) & 1))
+            prev = v
+        lab = nxt
+    for v in range(max(lab), 2, -1):
+        for i in range(m):
+            if lab[i] != v:
+                continue
+            left = lab[i - 1] if i > 0 else -1
+            right = lab[i + 1] if i < m - 1 else -1
+            if left != 0 and right != 0:
+                lab[i] = 0
+            elif left != 1 and right != 1:
+                lab[i] = 1
+            else:
+                lab[i] = 2
+    is_max = [False] * m
+    for i in range(1, m):
+        if lab[i] > lab[i - 1] and (i == m - 1 or lab[i] > lab[i + 1]):
+            is_max[i] = True
+    lms = []
+    for i in range(1, m):
+        if is_max[i]:
+            lms.append(i)
+        elif lab[i] < lab[i - 1] and (i == m - 1 or lab[i] < lab[i + 1]):
+            if not (is_max[i - 1] or (i + 1 < m and is_max[i + 1])):
+                lms.append(i)
+    if len(lms) >= 2 and lms[-1] == m - 2 and lms[-1] - lms[-2] == 2:
+        lms[-1] = m - 1
+    return np.asarray(lms, dtype=np.int64)
+
+
+def _type2_groups(m: int, lms: np.ndarray) -> Tuple[List[int], List[int], List[int]]:
+    """Tile a type2 block of length m with groups anchored at landmarks.
+
+    Returns (starts, sizes, anchors); anchor -1 marks boundary artifacts
+    (leading pad pairs) that no landmark owns.
+    """
+    if m == 2:
+        return [0], [2], [-1]
+    if m == 3:
+        return [0], [3], [-1]
+    starts: List[int] = []
+    sizes: List[int] = []
+    anchors: List[int] = []
+    k = lms.size
+    if k == 0:
+        raise AssertionError("type2 block of length >= 4 produced no landmarks")
+    lead = int(lms[0]) - 1
+    if lead == 2:
+        starts.append(0)
+        sizes.append(2)
+        anchors.append(-1)
+    for idx in range(k):
+        q = int(lms[idx])
+        gstart, gend = q - 1, q + 1
+        nxt = int(lms[idx + 1]) - 1 if idx + 1 < k else m
+        if nxt - gend == 1:  # lone symbol before the next pair joins this group
+            gend += 1
+        anchor = q
+        if idx == 0 and lead == 1:
+            if gend - gstart == 2:
+                gstart = 0  # leading single joins the first pair as a triple
+            else:
+                starts.append(0)
+                sizes.append(2)
+                anchors.append(-1)
+                gstart = 2  # rebalance: 1 + 3 would make a 4-wide group
+                anchor = -1
+        starts.append(gstart)
+        sizes.append(gend - gstart)
+        anchors.append(anchor)
+    # the tiling must be exact; anything else is a landmark-spacing bug
+    pos = 0
+    for st, sz in zip(starts, sizes):
+        if st != pos or sz not in (2, 3):
+            raise AssertionError(f"bad type2 tiling at {st} (size {sz}, expected start {pos})")
+        pos += sz
+    if pos != m:
+        raise AssertionError(f"type2 tiling covers {pos} of {m} symbols")
+    return starts, sizes, anchors
+
+
+def reference_plan(arr, threshold, alphabet_bound):
+    """plan_level's starts, sizes, uglo, ughi and t2info, assembled unit by
+    unit from the references above."""
+    kinds, bs, be = esp._factorize_arrays(arr, threshold)
+    ukind, ustart, uend = esp._merge_units(kinds, bs, be, arr.size)
+    starts, sizes, uglo, ughi, t2info = [], [], [], [], {}
+    for ui, (kind, a, b) in enumerate(zip(ukind.tolist(), ustart.tolist(), uend.tolist())):
+        uglo.append(len(starts))
+        if kind == TYPE2 and b - a >= 4:
+            lms = _landmarks_scalar(arr[a:b].tolist(), alphabet_bound)
+            st, sz, anc = _type2_groups(b - a, lms)
+            starts += [a + x for x in st]
+            sizes += sz
+            t2info[ui] = (lms + a, np.int64([x + a if x >= 0 else -1 for x in anc]))
+        else:
+            n = (b - a) // 2
+            starts += [a + 2 * j for j in range(n)]
+            sizes += [2] * (n - 1) + [b - a - 2 * (n - 1)]
+        ughi.append(len(starts))
+    return np.int64(starts), np.int64(sizes), np.int64(uglo), np.int64(ughi), t2info
+
+
+def multi_block(rng):
+    """Run-free blocks of 2-200 symbols (across the 64-symbol size at which
+    the parser used to switch routines) with runs of 2-3 between them; the
+    string may stop one or two symbols short of its last run's end."""
+    hi = rng.choice((3, 8, 255, 100000))
+    s, blocks = [], []
+    for _ in range(rng.randrange(1, 8)):
+        size = rng.choice((rng.randrange(2, 4), rng.randrange(4, 65), rng.randrange(65, 201)))
+        block = run_free(rng, size, hi)
+        while s and block[0] == s[-1]:
+            block = run_free(rng, size, hi)
+        run = rng.choice([v for v in range(1, min(hi, 4) + 1) if v != block[-1]])
+        s += block + [run] * rng.randrange(2, 4)
+        blocks.append(block)
+    return np.int64(s[: rng.randrange(len(s) - 2, len(s) + 1)]), hi, blocks
 
 
 class TestLogStar:
@@ -85,10 +223,12 @@ class TestFactorize:
 
 class TestAlphabetReduction:
     def test_label_step_examples(self):
+        # one block, bound 6: exactly one label round
+        one = np.ones(2, dtype=bool)
         # position 2 of [4,5]: lowest differing bit p=0, bit(0,5)=1 -> label 1
-        assert int(esp._label_step(np.int64([4, 5]))[1]) == 1
+        assert int(esp._labels(np.int64([4, 5]), one, 6)[1]) == 1
         # [5,4]: p=0, bit(0,4)=0 -> label 0
-        assert int(esp._label_step(np.int64([5, 4]))[1]) == 0
+        assert int(esp._labels(np.int64([5, 4]), one, 6)[1]) == 0
 
     def test_rejects_runs(self):
         with pytest.raises(ValueError):
@@ -109,13 +249,43 @@ class TestAlphabetReduction:
             lms = alphabet_reduction(s, alphabet_bound=255)
             assert set(np.diff(lms).tolist()) <= {2, 3}
 
-    def test_scalar_and_vector_paths_agree(self, rng):
-        for _ in range(2000):
-            size = rng.randrange(2, esp._SCALAR_CUTOFF * 2 + 4)
-            s = run_free(rng, size)
-            a = esp._landmarks_scalar(s, 255)
-            b = esp._landmarks_from_labels(esp._reduce_labels(np.int64(s), 255))
-            assert np.array_equal(a, b)
+    def test_segmented_plan_matches_per_unit_reference(self, rng):
+        cases = []
+        for _ in range(400):
+            s, hi, blocks = multi_block(rng)
+            cases.append((s, log_star(s.size), hi))
+            for block in blocks:  # alphabet_reduction is the pass on one block
+                assert np.array_equal(alphabet_reduction(block, alphabet_bound=hi),
+                                      _landmarks_scalar(block, hi))
+        for trial in range(36):
+            # windows of level strings, as pattern_evidence parses them
+            levels = []
+            g = build_grammar(text_family(rng, trial, rng.randrange(200, 4000)),
+                              record_levels=levels)
+            for lv, a in enumerate(levels[:-1], start=1):
+                for _ in range(4):
+                    i = rng.randrange(0, a.size - 1)
+                    j = rng.randrange(i + 2, min(a.size, i + 400) + 1)
+                    cases.append((a[i:j], g.level_threshold(lv), g.level_alphabet_bound(lv)))
+        joined = rebalanced = long_units = 0
+        for s, thr, bound in cases:
+            plan = plan_level(s, thr, bound)
+            starts, sizes, uglo, ughi, t2info = reference_plan(s, thr, bound)
+            assert np.array_equal(plan.starts, starts)
+            assert np.array_equal(plan.sizes, sizes)
+            assert np.array_equal(plan.uglo, uglo)
+            assert np.array_equal(plan.ughi, ughi)
+            assert list(plan.t2info) == list(t2info)
+            for ui, (lms, anchors) in t2info.items():
+                assert np.array_equal(plan.t2info[ui][0], lms)
+                assert np.array_equal(plan.t2info[ui][1], anchors)
+                u0 = int(plan.ustart[ui])
+                long_units += int(plan.uend[ui]) - u0 > 64
+                if lms[0] - u0 == 2:  # a leading single
+                    first = int(plan.uglo[ui])
+                    joined += int(sizes[first]) == 3
+                    rebalanced += int(sizes[first]) == 2
+        assert joined > 0 and rebalanced > 0 and long_units > 0
 
     def test_locality_of_edits(self, rng):
         # flipping one symbol moves landmark decisions only inside a window
