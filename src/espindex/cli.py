@@ -214,6 +214,8 @@ def _cmd_bench(args) -> int:
         return _fail(EXIT_USAGE, "--lengths must be comma-separated integers")
     if not lengths or min(lengths) < 1:
         return _fail(EXIT_USAGE, "pattern lengths must be positive")
+    if args.samples < 1:
+        return _fail(EXIT_USAGE, "--samples must be positive")
     rng = random.Random(args.seed)
     header = (
         "length", "samples", "count_ms_mean", "count_ms_median",

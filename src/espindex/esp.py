@@ -9,8 +9,9 @@ Each round factorizes the current symbol string into maximal blocks:
 then tiles every block with groups of 2 or 3 symbols.  Pairs become one rule
 ``A -> XY``; triples become two rules ``A -> YZ``, ``B -> XA`` (the inner
 pair always groups the last two symbols, so every left child belongs to a
-strictly earlier round, which keeps the concatenated left-child array
-monotone after per-round renaming).  Type2 blocks are tiled around
+strictly earlier round).  Each round's rules are numbered in sorted
+``(left, right)`` order when they are created, which keeps the concatenated
+left-child array monotone.  Type2 blocks are tiled around
 landmarks chosen by alphabet reduction; landmark decisions depend only on a
 bounded window of nearby symbols, which is what makes equal substrings parse
 consistently regardless of context.
@@ -363,49 +364,9 @@ def parse_level(s, rdict: BuildReverseDict, threshold: Optional[int] = None,
     return out
 
 
-def _parse_level_batch(arr: np.ndarray, plan: LevelPlan, base_id: int):
-    """Vectorized equivalent of parse_level: deduplicated rule creation in
-    first-occurrence order.  Returns (output symbols, lefts, rights) with
-    creation ids starting at base_id; right children of outer triple rules
-    reference creation ids of the same round."""
-    st = plan.starts
-    sz = plan.sizes
-    pair = sz == 2
-    s0 = arr[st]
-    a_l = np.where(pair, s0, arr[st + 1])
-    a_r = arr[st + sz - 1]
-    keys = (a_l << np.int64(32)) | a_r
-    uq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank_of = np.empty(uq.size, dtype=np.int64)
-    rank_of[order] = np.arange(uq.size)
-    a_slot = rank_of[inv]  # per group: stage-A creation slot
-    a_lefts = a_l[first[order]]
-    a_rights = a_r[first[order]]
-    na = uq.size
-
-    tri = np.flatnonzero(~pair)
-    b_l = s0[tri]
-    b_ref = a_slot[tri]
-    bkeys = (b_l << np.int64(32)) | b_ref
-    uqb, firstb, invb = np.unique(bkeys, return_index=True, return_inverse=True)
-    orderb = np.argsort(firstb, kind="stable")
-    rank_b = np.empty(uqb.size, dtype=np.int64)
-    rank_b[orderb] = np.arange(uqb.size)
-    b_slot = rank_b[invb]
-    b_lefts = b_l[firstb[orderb]]
-    b_refs = b_ref[firstb[orderb]]
-    nb = uqb.size
-
-    lefts = np.concatenate((a_lefts, b_lefts))
-    rights = np.concatenate((a_rights, base_id + b_refs))
-    out_slot = np.where(pair, a_slot, -1)
-    out_slot[tri] = na + b_slot
-    return base_id + out_slot, lefts, rights
-
-
 def _rename_level(lefts: np.ndarray, rights: np.ndarray, base_id: int, prev_max: int):
-    """Per-round renaming making the round's left-child array monotone.
+    """Reference renaming of one round's rules from creation order to the
+    monotone numbering ``build_grammar`` gives them directly.
 
     Rules are ordered by (left child, right child); right children that
     reference this round's own rules (inner pairs of triples) compare by the
@@ -514,14 +475,14 @@ def expand(g: Grammar, x: int) -> bytes:
     """The string derived from symbol ``x``, as bytes."""
     if not 1 <= x <= g.sigma + g.n:
         raise IndexError(f"symbol {x} out of range")
-    ids = _expand_ids(g.sigma, g.left, g.right, x)
+    ids = _expand_ids(g.sigma, g.left, g.right, np.int64([x]))
     return g.alphabet[ids - 1].tobytes()
 
 
-def _expand_ids(sigma: int, left: np.ndarray, right: np.ndarray, x: int) -> np.ndarray:
-    """Terminal-id expansion of symbol ``x`` under child arrays ``left`` and
-    ``right``, one whole layer of variables per pass."""
-    cur = np.int64([x])
+def _expand_ids(sigma: int, left: np.ndarray, right: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Terminal ids of the concatenated expansions of symbols ``xs`` under
+    child arrays ``left`` and ``right``, one whole layer of variables per pass."""
+    cur = xs
     while True:
         var = cur > sigma
         if not var.any():
@@ -538,9 +499,13 @@ def build_grammar(data: bytes, reference: bool = False,
                   record_levels: Optional[List[np.ndarray]] = None) -> Grammar:
     """Parse ``data`` to a single root symbol.
 
-    ``reference=True`` routes rule creation through the associative-map
-    implementation instead of the batched one; both produce identical
-    grammars.  ``record_levels``, when given a list, receives a copy of every
+    Each round's rules get their final ids at once: one sort ranks the
+    first-stage digrams (pairs, and the last two symbols of triples), and a
+    second numbers them together with the outer rules of triples in sorted
+    ``(left, right)`` order.  ``reference=True`` is the oracle for that
+    numbering: it creates rules through an associative map in left-to-right
+    order and renames them afterwards; both produce identical grammars.
+    ``record_levels``, when given a list, receives a copy of every
     intermediate symbol string (diagnostics and tests).
     """
     if len(data) == 0:
@@ -573,26 +538,37 @@ def build_grammar(data: bytes, reference: bool = False,
             out = parse_level(s, rd, thr, bound)
             lefts = np.asarray(rd.lefts, dtype=np.int64)
             rights = np.asarray(rd.rights, dtype=np.int64)
+            perm, pi = _rename_level(lefts, rights, next_base, next_base - 1)
+            own = rights >= next_base
+            rights[own] = next_base + pi[rights[own] - next_base]
+            lefts, rights, s = lefts[perm], rights[perm], next_base + pi[out - next_base]
         else:
             plan = plan_level(s, thr, bound)
-            out, lefts, rights = _parse_level_batch(s, plan, next_base)
-        perm, pi = _rename_level(lefts, rights, next_base, next_base - 1)
+            st, tri = plan.starts, plan.sizes == 3
+            first = s[st]
+            # first-stage digrams (a pair, or a triple's last two symbols) ranked
+            fkeys, rank = np.unique((np.where(tri, s[st + 1], first) << 32) | s[st + plan.sizes - 1],
+                                    return_inverse=True)
+            # an outer key (X, next_base + rank) sorts after every first-stage
+            # key with left child X, so one more sort numbers the whole round
+            keys, ids = np.unique(np.concatenate((fkeys, (first[tri] << 32) | (next_base + rank[tri]))),
+                                  return_inverse=True)
+            ids += next_base
+            lefts, rights = keys >> 32, keys & 0xFFFFFFFF
+            own = rights >= next_base
+            rights[own] = ids[rights[own] - next_base]
+            s = ids[rank]
+            s[tri] = ids[fkeys.size:]
         count = lefts.size
-        inner = rights > next_base - 1
-        new_rights = rights.copy()
-        new_rights[inner] = next_base + pi[rights[inner] - next_base]
-        lefts_f = lefts[perm]
-        rights_f = new_rights[perm]
-        # lengths in creation order, then reordered; lengths[0] == 0 so the
-        # masked gather contributes nothing for same-round references
+        inner = rights >= next_base
+        # same-round right children are first-stage rules, whose lengths the
+        # first line completes; lengths[0] == 0 masks them out of it
         new_len = lengths[lefts] + lengths[np.where(inner, 0, rights)]
-        if inner.any():
-            new_len[inner] += new_len[rights[inner] - next_base]
-        lengths = np.concatenate((lengths, new_len[perm]))
-        left_parts.append(lefts_f)
-        right_parts.append(rights_f)
+        new_len[inner] += new_len[rights[inner] - next_base]
+        lengths = np.concatenate((lengths, new_len))
+        left_parts.append(lefts)
+        right_parts.append(rights)
         level_parts.append(np.full(count, level, dtype=np.int64))
-        s = next_base + pi[out - next_base]
         next_base += count
 
     if record_levels is not None:

@@ -845,22 +845,8 @@ class EspIndex:
             l = int(left[x])
             stack.append((int(right[x]), st + int(lengths[l])))
             stack.append((l, st))
-        out = bytearray()
-        sigma, alpha = self.sigma, self.alphabet
-        for x in pieces:
-            if int(lengths[x]) <= 2048:
-                estack = [x]
-                while estack:
-                    y = estack.pop()
-                    if y <= sigma:
-                        out.append(alpha[y - 1])
-                    else:
-                        estack.append(int(right[y]))
-                        estack.append(int(left[y]))
-            else:
-                ids = esp._expand_ids(sigma, left, right, x)
-                out += self.alphabet[ids - 1].tobytes()
-        return bytes(out)
+        ids = esp._expand_ids(self.sigma, left, right, np.int64(pieces))
+        return self.alphabet[ids - 1].tobytes()
 
     # -- sizes and serialization --------------------------------------------------
 

@@ -171,10 +171,13 @@ def test_missing_index_is_io_error(tmp_path):
     assert main(["count", "-x", str(tmp_path / "none.idx"), "-q", "a"]) == 2
 
 
-def test_usage_errors(corpus):
+def test_usage_errors(corpus, capsys):
     _, _, ifile = corpus
     assert main(["count", "-x", ifile]) == 1  # no patterns
     assert main(["bench", "-x", ifile, "--lengths", "ten"]) == 1
+    for samples in ("0", "-3"):
+        assert main(["bench", "-x", ifile, "--lengths", "4", "--samples", samples]) == 1
+        assert "--samples must be positive" in capsys.readouterr().err
 
 
 def test_bench_deterministic_tsv(corpus, capsys):

@@ -364,14 +364,28 @@ class TestBuildGrammar:
             assert g.height <= math.ceil(math.log2(len(t))) + 1
 
     def test_batch_equals_reference(self, rng):
-        for trial in range(80):
-            t = text_family(rng, trial, rng.randrange(1, 900))
-            g1 = build_grammar(t)
-            g2 = build_grammar(t, reference=True)
-            assert np.array_equal(g1.left, g2.left)
-            assert np.array_equal(g1.right, g2.right)
+        texts = [text_family(rng, trial, rng.randrange(1, 900)) for trial in range(80)]
+        texts += [text_family(rng, kind, rng.randrange(10_000, 30_000)) for kind in (0, 1, 3, 4, 5)]
+        shared_left = 0
+        for t in texts:
+            lv1, lv2 = [], []
+            g1 = build_grammar(t, record_levels=lv1)
+            g2 = build_grammar(t, reference=True, record_levels=lv2)
+            for name in ("left", "right", "lengths", "level_of"):
+                assert np.array_equal(getattr(g1, name), getattr(g2, name)), name
             assert g1.root == g2.root
-            assert np.array_equal(g1.lengths, g2.lengths)
+            assert g1.level_lens == g2.level_lens
+            assert len(lv1) == len(lv2)
+            assert all(np.array_equal(a, b) for a, b in zip(lv1, lv2))
+            # a triple's outer rule has a right child from its own round; count
+            # rounds where one shares its left child with a first-stage rule,
+            # which the batch numbering must place after that rule
+            var = np.arange(g1.sigma + 1, g1.left.size)
+            lv = g1.level_of[var]
+            outer = g1.level_of[g1.right[var]] == lv
+            first_stage = set(zip(lv[~outer].tolist(), g1.left[var][~outer].tolist()))
+            shared_left += any(k in first_stage for k in zip(lv[outer].tolist(), g1.left[var][outer].tolist()))
+        assert shared_left > 0
 
     def test_monotone_left_children(self, rng):
         for trial in range(60):

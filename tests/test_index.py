@@ -26,7 +26,7 @@ from espindex.index import (
 )
 from espindex.oracle import naive_reverse_dict, naive_search
 
-from conftest import text_family
+from conftest import near_duplicates, text_family
 
 
 def fixture_index() -> EspIndex:
@@ -420,14 +420,27 @@ class TestQueries:
         with pytest.raises(IndexError):
             idx.extract(idx.u, 2)
 
-    def test_extract_random_windows(self, rng):
-        for trial in range(15):
-            t = text_family(rng, trial, rng.randrange(2, 3000))
+    def test_extract_random_windows(self, rng, monkeypatch):
+        pieces = []
+        expand_ids = esp._expand_ids
+
+        def recording(sigma, left, right, xs):
+            pieces.append(idx._lengths[xs])
+            return expand_ids(sigma, left, right, xs)
+
+        monkeypatch.setattr(esp, "_expand_ids", recording)
+        for trial in range(16):
+            t = (text_family(rng, trial, rng.randrange(2, 3000)) if trial < 15
+                 else near_duplicates(rng, 50_000, copies=25, mutation_rate=0.0005))
             idx = encode(build_grammar(t))
+            assert idx.extract(1, len(t)) == t
+            pieces.clear()
             for _ in range(40):
                 m = rng.randrange(0, len(t) + 1)
                 i = rng.randrange(1, len(t) - m + 2)
                 assert idx.extract(i, m) == t[i - 1 : i - 1 + m]
+        # the last, repetitive text's windows expand cover pieces longer than 2048
+        assert max(p.max() for p in pieces) > 2048
 
 
 class TestLevelMetadata:
