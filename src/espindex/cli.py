@@ -183,6 +183,7 @@ def _cmd_stats(args) -> int:
     index = _load_index(args.index)
     st = index.stats()
     comp_bytes = {k: (v + 7) // 8 for k, v in index.component_bits().items()}
+    resident = index.resident_bytes()
     import os
 
     file_bytes = os.path.getsize(args.index)
@@ -193,10 +194,12 @@ def _cmd_stats(args) -> int:
         "height": st["height"],
         "b_bytes": comp_bytes["B"],
         "a_bytes": comp_bytes["A"],
-        "len_bytes": comp_bytes["len"],
         "file_bytes": file_bytes,
         "compression_ratio": round(file_bytes / st["u"], 4) if st["u"] else 0.0,
     }
+    for name, nbytes in resident.items():
+        info[f"resident_{name.lower()}_bytes"] = nbytes
+    info["resident_bytes"] = sum(resident.values())
     if args.format == "json":
         json.dump(info, sys.stdout, indent=0)
         print()

@@ -2,8 +2,9 @@
 
 The grammar's left-child array (monotone after construction) is stored as a
 gap-unary bit vector ``B``; the right-child array as a rank/select sequence
-``A``; expansion lengths as a packed integer array.  The digram-to-rule map
-that existed at build time is simulated at query time:
+``A``.  Nothing else is stored: expansion lengths are derived from the two
+when an index is built or loaded, one round of rules at a time.  The
+digram-to-rule map that existed at build time is simulated at query time:
 
     p = select_0(B, i) - i
     q = select_0(B, i + 1) - (i + 1)        (q = n when that zero is absent)
@@ -41,7 +42,7 @@ __all__ = [
     "ChecksumError",
 ]
 
-MAGIC = b"ESPIDX01"
+MAGIC = b"ESPIDX02"
 
 
 class IndexLoadError(Exception):
@@ -272,6 +273,25 @@ def _derive_level_of(sigma: int, left: np.ndarray) -> np.ndarray:
     return lv
 
 
+def _derive_lengths(
+    sigma: int, left: np.ndarray, right: np.ndarray, level_starts: np.ndarray
+) -> np.ndarray:
+    """Expansion length of every symbol, one numpy pass per parsing round.
+
+    Within a round, two stages as in :meth:`EspIndex._contains_mask`: the
+    first settles the rules whose children come from earlier rounds, the
+    second the outer rules of 3-groups, whose right child is a first-stage
+    rule of the same round.  A symbol outside every round keeps length 0.
+    """
+    lengths = np.zeros(left.size, dtype=np.int64)
+    lengths[1 : sigma + 1] = 1
+    for lo, hi in zip(level_starts[1:-1].tolist(), level_starts[2:].tolist()):
+        seg, l, r = lengths[lo:hi], left[lo:hi], right[lo:hi]
+        for _ in range(2):
+            np.add(lengths[l], lengths[r], out=seg)
+    return lengths
+
+
 def _derive_level_lens(
     left: np.ndarray,
     right: np.ndarray,
@@ -376,7 +396,6 @@ class EspIndex:
         alphabet: np.ndarray,
         left: np.ndarray,
         right: np.ndarray,
-        lengths: np.ndarray,
     ):
         self.sigma = int(sigma)
         self.n = int(n)
@@ -385,7 +404,6 @@ class EspIndex:
         self.alphabet = np.ascontiguousarray(alphabet, dtype=np.uint8)
         self._left = np.ascontiguousarray(left, dtype=np.int64)
         self._right = np.ascontiguousarray(right, dtype=np.int64)
-        self._lengths = np.ascontiguousarray(lengths, dtype=np.int64)
         self.byte_to_term = np.zeros(256, dtype=np.int64)
         self.byte_to_term[self.alphabet] = np.arange(1, self.sigma + 1)
 
@@ -400,9 +418,11 @@ class EspIndex:
             ones_at = d1 + np.arange(1, self.n + 1) - 1  # 0-based bit positions
             bits[ones_at] = 1
         self.B = BitVector(bits)
+        # A's symbols are a view of the right-child column, not a copy
         self.A = LargeAlphabetSequence(self._right[self.sigma + 1 :], bound=total_syms)
 
-        self.level_of = _derive_level_of(self.sigma, self._left)
+        level_of = _derive_level_of(self.sigma, self._left)
+        self.level_of = level_of.astype(np.min_scalar_type(int(level_of.max())))
         self.height = int(self.level_of[self.root])
         counts = np.bincount(self.level_of[self.sigma + 1 :], minlength=self.height + 1)
         self.level_starts = np.empty(self.height + 2, dtype=np.int64)
@@ -411,6 +431,7 @@ class EspIndex:
         if self.height:
             np.cumsum(counts[1 : self.height + 1], out=self.level_starts[2:])
             self.level_starts[2:] += self.sigma + 1
+        self._lengths = _derive_lengths(self.sigma, self._left, self._right, self.level_starts)
         self.level_lens = _derive_level_lens(
             self._left, self._right, self.level_starts, self.height, self.root, self.u
         )
@@ -850,14 +871,36 @@ class EspIndex:
 
     # -- sizes and serialization --------------------------------------------------
 
-    def _widths(self) -> Tuple[int, int]:
-        d2_width = max(1, (self.sigma + self.n).bit_length())
-        len_width = max(1, self.u.bit_length())
-        return d2_width, len_width
+    def _d2_width(self) -> int:
+        return max(1, (self.sigma + self.n).bit_length())
 
     def component_bits(self) -> dict:
-        d2_width, len_width = self._widths()
-        return {"B": self.B.length, "A": self.n * d2_width, "len": self.n * len_width}
+        """On-disk payload bits of the two stored components."""
+        return {"B": self.B.length, "A": self.n * self._d2_width()}
+
+    def resident_bytes(self) -> dict:
+        """Bytes held in memory per component.  A buffer shared by two
+        components counts once, under the first: ``A``'s symbols are a view of
+        the right-child column and count there."""
+        parts = {
+            "left": [self._left],
+            "right": [self._right],
+            "lengths": [self._lengths],
+            "level_of": [self.level_of],
+            "B": [self.B.words, self.B._block_ones, self.B._block_zeros],
+            "A": [self.A.values, self.A._pos, self.A._starts],
+        }
+        seen = set()
+        out = {}
+        for name, arrays in parts.items():
+            out[name] = 0
+            for a in arrays:
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                if id(a) not in seen:
+                    seen.add(id(a))
+                    out[name] += a.nbytes
+        return out
 
     def stats(self) -> dict:
         comp = self.component_bits()
@@ -869,7 +912,6 @@ class EspIndex:
             "height": self.height,
             "b_bits": comp["B"],
             "a_bits": comp["A"],
-            "len_bits": comp["len"],
         }
 
     def serialize(self, sink: BinaryIO) -> int:
@@ -882,13 +924,10 @@ class EspIndex:
         buf.write(table.tobytes())
         buf.write(struct.pack("<Q", self.B.length))
         buf.write(self.B.words.astype("<u8").tobytes())
-        d2_width, len_width = self._widths()
+        d2_width = self._d2_width()
         d2_words = pack_ints(self._right[self.sigma + 1 :], d2_width)
         buf.write(struct.pack("<BQ", d2_width, d2_words.size))
         buf.write(d2_words.astype("<u8").tobytes())
-        len_words = pack_ints(self._lengths[self.sigma + 1 :], len_width)
-        buf.write(struct.pack("<BQ", len_width, len_words.size))
-        buf.write(len_words.astype("<u8").tobytes())
         payload = buf.getvalue()
         sink.write(payload)
         sink.write(struct.pack("<Q", crc64(payload)))
@@ -906,7 +945,10 @@ class EspIndex:
             raise MagicError("file too short for a magic number")
         if data[:8] != MAGIC:
             if data[:6] == MAGIC[:6]:
-                raise VersionError(f"unsupported format version {data[6:8]!r}")
+                raise VersionError(
+                    f"unsupported format version {data[6:8]!r} (this build reads "
+                    f"{MAGIC[6:8]!r}); rebuild the index with 'espindex build'"
+                )
             raise MagicError(f"bad magic {data[:8]!r}")
         off = 8
 
@@ -925,8 +967,6 @@ class EspIndex:
         b_words = np.frombuffer(take(8 * b_wordcount, "bit vector"), dtype="<u8")
         d2_width, d2_wordcount = struct.unpack("<BQ", take(9, "A header"))
         d2_words = np.frombuffer(take(8 * d2_wordcount, "A payload"), dtype="<u8")
-        len_width, len_wordcount = struct.unpack("<BQ", take(9, "len header"))
-        len_words = np.frombuffer(take(8 * len_wordcount, "len payload"), dtype="<u8")
         if len(data) - off < 8:
             raise TruncationError("file ends inside the checksum")
         if len(data) - off > 8:
@@ -934,12 +974,10 @@ class EspIndex:
         stored_crc = struct.unpack("<Q", data[off:])[0]
         if crc64(data[:off]) != stored_crc:
             raise ChecksumError("checksum mismatch")
-        if d2_width < 1 or d2_width > 64 or len_width < 1 or len_width > 64:
+        if d2_width < 1 or d2_width > 64:
             raise IndexLoadError("invalid packed-array width")
         if (n * d2_width + 63) // 64 != d2_wordcount:
             raise TruncationError("A word count does not match n")
-        if (n * len_width + 63) // 64 != len_wordcount:
-            raise TruncationError("len word count does not match n")
 
         present = np.flatnonzero(table)
         if present.size != sigma or not np.array_equal(
@@ -954,38 +992,33 @@ class EspIndex:
             raise IndexLoadError("bit vector does not encode n rules")
         d1 = ones_pos + 1 - np.arange(1, n + 1)
         d2 = unpack_ints(d2_words, d2_width, n)
-        lens = unpack_ints(len_words, len_width, n)
         if n and (
             d1.min() < 1 or d1.max() > sigma + n or d2.min() < 1 or d2.max() > sigma + n
         ):
             raise IndexLoadError("rule references out of range")
+        if not 1 <= root <= sigma + n:
+            raise IndexLoadError("root symbol out of range")
+        if not 1 <= u < 1 << 62:
+            raise IndexLoadError("text length out of range")
         total = sigma + n + 1
         left = np.zeros(total, dtype=np.int64)
         right = np.zeros(total, dtype=np.int64)
-        lengths = np.zeros(total, dtype=np.int64)
-        lengths[1 : sigma + 1] = 1
-        if n:
-            left[sigma + 1 :] = d1
-            right[sigma + 1 :] = d2
-            lengths[sigma + 1 :] = lens
-        # with every length >= 1 a child is strictly shorter than its
-        # parent, so no rule can reach itself and every expansion ends
+        left[sigma + 1 :] = d1
+        right[sigma + 1 :] = d2
+        idx = cls(sigma=sigma, n=n, u=u, root=root, alphabet=alphabet, left=left, right=right)
+        # derived lengths are the expansion lengths only if each is at least 1
+        # and the sum of its children's: then a child is strictly shorter than
+        # its parent, so no rule can reach itself and every expansion ends.
+        # With every length at most u < 2**62 the sums cannot overflow.
+        lengths = idx._lengths
         rules = slice(sigma + 1, None)
-        if np.any(lengths[1:] < 1) or np.any(
-            lengths[rules] != lengths[left[rules]] + lengths[right[rules]]
+        if (
+            lengths[1:].min() < 1
+            or lengths[1:].max() > u
+            or np.any(lengths[rules] != lengths[left[rules]] + lengths[right[rules]])
         ):
-            raise IndexLoadError("rule length is not the sum of its children's")
-        idx = cls(
-            sigma=sigma,
-            n=n,
-            u=u,
-            root=root,
-            alphabet=alphabet,
-            left=left,
-            right=right,
-            lengths=lengths,
-        )
-        if not 1 <= root <= sigma + n or idx.symbol_length(root) != u:
+            raise IndexLoadError("rule lengths do not add up to their children's")
+        if idx.symbol_length(root) != u:
             raise IndexLoadError("root length disagrees with text length")
         return idx
 
@@ -1005,7 +1038,6 @@ def encode(g: Grammar) -> EspIndex:
         alphabet=g.alphabet,
         left=g.left,
         right=g.right,
-        lengths=g.lengths,
     )
 
 

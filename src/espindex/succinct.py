@@ -226,7 +226,9 @@ class LargeAlphabetSequence:
     Backed by the symbol array plus a position index in CSR form: occurrence
     positions sorted by (symbol, position), with per-symbol offsets.  access
     and select are O(1); rank is a binary search within one symbol's
-    occurrence list.  Total size stays within a small constant of
+    occurrence list.  The symbol array is the caller's, not a copy, when it
+    is already an int64 array (the index passes a view of its right-child
+    column); the position index stays within a small constant of
     ``n * lg(bound)`` bits.
     """
 
@@ -243,8 +245,7 @@ class LargeAlphabetSequence:
         self.bound = int(bound) if bound is not None else top
         if top > self.bound:
             raise ValueError(f"symbol {top} exceeds alphabet bound {self.bound}")
-        # narrowest machine width that fits keeps the footprint near n*lg(bound)
-        self.values = vals.astype(_fit_dtype(self.bound))
+        self.values = vals
         # one sort of (symbol, position) packed into a word groups the
         # positions by symbol, ascending within each group
         shift = self.n.bit_length()

@@ -124,13 +124,8 @@ def test_criterion_3_encoding_identities():
         # the worked fixture reproduces the three hand-simulated lookups
         left = np.int64([0, 0, 0, 1, 1, 2, 3])
         right = np.int64([0, 0, 0, 2, 3, 3, 1])
-        lengths = np.zeros(7, dtype=np.int64)
-        lengths[1:3] = 1
-        for x in range(3, 7):
-            lengths[x] = lengths[left[x]] + lengths[right[x]]
-        fx = EspIndex(sigma=2, n=4, u=int(lengths[6]), root=6,
-                      alphabet=np.uint8([97, 98]), left=left, right=right,
-                      lengths=lengths)
+        fx = EspIndex(sigma=2, n=4, u=3, root=6,
+                      alphabet=np.uint8([97, 98]), left=left, right=right)
         assert "".join(map(str, fx.B.to_array())).startswith("0110101")
         assert fx.reverse_lookup(1, 3) == 2
         assert fx.reverse_lookup(2, 3) == 3
@@ -245,10 +240,11 @@ def test_criterion_8_serialization():
         bad[:8] = b"XXXXXXXX"
         with pytest.raises(MagicError):
             EspIndex.deserialize(bytes(bad))
-        bad = bytearray(data)
-        bad[6:8] = b"77"
-        with pytest.raises(VersionError):
-            EspIndex.deserialize(bytes(bad))
+        for version in (b"77", b"01"):  # a later format, and the one with lengths
+            bad = bytearray(data)
+            bad[6:8] = version
+            with pytest.raises(VersionError):
+                EspIndex.deserialize(bytes(bad))
         with pytest.raises(TruncationError):
             EspIndex.deserialize(data[:-20])
         bad = bytearray(data)

@@ -148,14 +148,38 @@ def test_stats_accounting(corpus, capsys):
     assert main(["stats", "-x", ifile, "--format", "json"]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["u"] == len(text)
-    # header + map + payloads + checksum account for the whole file
-    overhead = 8 + 32 + 512 + 8 + 9 + 9 + 8
-    payload = info["b_bytes"] + info["a_bytes"] + info["len_bytes"]
-    assert payload <= info["file_bytes"] <= payload + overhead + 24  # word padding
+    # magic, header, map, B's length, A's header and the checksum, with the
+    # two payloads, account for the whole file up to their word padding
+    overhead = 8 + 32 + 512 + 8 + 9 + 8
+    payload = info["b_bytes"] + info["a_bytes"]
+    assert payload + overhead <= info["file_bytes"] <= payload + overhead + 14
+    assert "len_bytes" not in info
+    # resident bytes: three int64 columns and the uint8 level column; A's
+    # symbols are a view of the right column and count there only
+    symbols = info["sigma"] + info["n"] + 1
+    for col in ("left", "right", "lengths"):
+        assert info[f"resident_{col}_bytes"] == 8 * symbols
+    assert info["resident_level_of_bytes"] == symbols
+    assert 0 < info["resident_a_bytes"] < 8 * info["n"]
+    assert info["resident_b_bytes"] >= info["b_bytes"]
+    parts = [v for k, v in info.items() if k.startswith("resident_") and k != "resident_bytes"]
+    assert len(parts) == 6 and sum(parts) == info["resident_bytes"]
 
     assert main(["stats", "-x", ifile]) == 0
     plain = capsys.readouterr().out
     assert "compression_ratio" in plain
+
+
+def test_old_format_is_a_format_error(corpus, tmp_path, capsys):
+    _, _, ifile = corpus
+    blob = bytearray(open(ifile, "rb").read())
+    assert blob[:8] == b"ESPIDX02"
+    blob[6:8] = b"01"
+    old = tmp_path / "old.idx"
+    old.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main(["count", "-x", str(old), "-q", "abc"]) == 3
+    assert "espindex build" in capsys.readouterr().err
 
 
 def test_stats_checksum_error(corpus, tmp_path):

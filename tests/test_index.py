@@ -30,16 +30,11 @@ from conftest import near_duplicates, text_family
 
 
 def fixture_index() -> EspIndex:
-    """The worked rule set: D1=[1,1,2,3], D2=[2,3,3,1] over two terminals."""
-    left = np.int64([0, 0, 0, 1, 1, 2, 3])
-    right = np.int64([0, 0, 0, 2, 3, 3, 1])
-    lengths = np.zeros(7, dtype=np.int64)
-    lengths[1:3] = 1
-    for x in range(3, 7):
-        lengths[x] = lengths[left[x]] + lengths[right[x]]
+    """The worked rule set: D1=[1,1,2,3], D2=[2,3,3,1] over two terminals;
+    the root 6 -> (3, 1) -> ((1, 2), 1) derives three characters."""
     return EspIndex(
-        sigma=2, n=4, u=int(lengths[6]), root=6,
-        alphabet=np.uint8([97, 98]), left=left, right=right, lengths=lengths,
+        sigma=2, n=4, u=3, root=6, alphabet=np.uint8([97, 98]),
+        left=np.int64([0, 0, 0, 1, 1, 2, 3]), right=np.int64([0, 0, 0, 2, 3, 3, 1]),
     )
 
 
@@ -443,6 +438,32 @@ class TestQueries:
         assert max(p.max() for p in pieces) > 2048
 
 
+class TestLengthDerivation:
+    def texts(self, rng):
+        # criterion 2's text kinds, then the edge texts: no rules at all, one
+        # long run, a period-2 text, and near-duplicates with long rules
+        texts = [text_family(rng, kind, rng.choice([3000, 8000, 20000])) for kind in range(6)]
+        return texts + [b"z", b"a" * 1000, b"ab" * 5000, near_duplicates(rng, 30000)]
+
+    def test_derived_lengths_match_builder(self, rng):
+        for t in self.texts(rng):
+            g = build_grammar(t)
+            idx = encode(g)
+            assert idx._lengths.dtype == g.lengths.dtype
+            assert np.array_equal(idx._lengths, g.lengths), t[:20]
+            buf = io.BytesIO()
+            idx.serialize(buf)
+            back = EspIndex.deserialize(buf.getvalue())
+            for name in ("_left", "_right", "_lengths", "level_of"):
+                want, got = getattr(idx, name), getattr(back, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (t[:20], name)
+            assert back.level_lens == idx.level_lens == g.level_lens
+            for x in (idx, back):
+                # a rule-less grammar has an empty A and nothing to share
+                assert np.shares_memory(x._right, x.A.values) or x.n == 0
+            assert back.level_of.dtype == np.uint8
+
+
 class TestLevelMetadata:
     def test_derived_levels_match_builder(self, rng):
         for trial in range(25):
@@ -569,17 +590,35 @@ class TestSerialization:
         bad.write_bytes(bytes(data))
         assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "11"]) == 3
 
+    @pytest.mark.parametrize("field, value", [("root", 0), ("root", 10**6), ("u", 0),
+                                              ("u", 1 << 63)])
+    def test_header_out_of_range(self, tmp_path, field, value):
+        # a root past the last rule used to crash the constructor with IndexError
+        idx = encode(build_grammar(b"abracadabra" * 5))
+        buf = io.BytesIO()
+        idx.serialize(buf)
+        data = bytearray(buf.getvalue()[:-8])
+        struct.pack_into("<Q", data, 8 + {"u": 0, "root": 24}[field], value)
+        data += struct.pack("<Q", crc64(bytes(data)))  # valid checksum
+        with pytest.raises(IndexLoadError):
+            EspIndex.deserialize(bytes(data))
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(bytes(data))
+        assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "1"]) == 3
+
     @pytest.mark.parametrize("kind, size, sha256", [
-        (5, 30000, "b0de7ee7c2a27b205e7f95ac67da5cbe8378fb85b4a482d4ed0226f915cd2d89"),
-        (1, 4000, "a8402dfd909d67f454a59803f5792bdc8b36aca915ad9ac684c83b81f39d864a"),
-        (0, 30011, "4eb6b8414288034b425d8c2f64fa314b8aab941788d02208d7570f7fc91279ef"),
-        (2, 10007, "7aa90fd1bc6e7c02ae5b79cd9ef110b6eb87e8ab4254dd7f3ed498f22ee377f5"),
-        (3, 30011, "197affd2c3ce78bc2e15ab8926bba6e110dd0c4cb4d36c78f0d36331a6466f68"),
-        (4, 30011, "0b81c9aee7405e98e51a384ad8fee69b9604634a13abcce0b0b80513c2933d80"),
+        (5, 30000, "47ee2415aaf56df1038f04487c151d6053f555515d346fd32f207722b972fc44"),
+        (1, 4000, "8c71ba604e6a0c988df8728614dfc4acd5f8705c7cc7f3aa5a5d61e293d4b27e"),
+        (0, 30011, "5df750706b19f893e7ea2d922f289940d8b15a6d4b06b3bdae7994edace23956"),
+        (2, 10007, "fc50b916d5d5ae6fe8e82a56f953fac8936f02ad5a5c9d7bda03f6019c126b10"),
+        (3, 30011, "388e8301f17b516da2bc3e3a9d56337790fb524f452612714f4039d64980bd90"),
+        (4, 30011, "9615a020036fb043e3d3f7f40c17f5e7e7631a618d934c4062bda99a664bc6ef"),
     ])
     def test_file_bytes_pinned(self, kind, size, sha256):
-        # digests of files written before the checksum and the landmark pass were
-        # vectorised (kinds 2 and 3 have no type2 blocks): the bytes must not move
+        # ESPIDX02 digests of the grammars pinned since before the checksum and
+        # the landmark pass were vectorised (kinds 2 and 3 have no type2
+        # blocks): each equals its ESPIDX01 file with the length block dropped,
+        # the magic bumped and the checksum recomputed, so the bytes must not move
         t = text_family(random.Random(1234 + kind), kind, size)
         buf = io.BytesIO()
         encode(build_grammar(t)).serialize(buf)
@@ -587,29 +626,43 @@ class TestSerialization:
         assert hashlib.sha256(data).hexdigest() == sha256
         assert struct.unpack("<Q", data[-8:])[0] == crc64_bitwise(data[:-8])
 
-    @pytest.mark.parametrize("mutation", ["self_right_child", "first_rule_length",
-                                          "last_inner_rule_length"])
+    @pytest.mark.parametrize("mutation", ["self_right_child", "right_child_from_later_round",
+                                          "outer_right_child_is_outer"])
     def test_rule_lengths_must_add_up(self, tmp_path, mutation):
+        # the file stores no lengths: each right-child mutation must make the
+        # lengths derived at load break the sum rule, and loading must refuse it
         idx = encode(build_grammar(b"abracadabra" * 50))
-        right, lengths = idx._right.copy(), idx._lengths.copy()
+        rules = np.arange(idx.sigma + 1, idx.sigma + idx.n + 1)
+        level = idx.level_of[rules]
+        outer = idx._right[rules] >= idx.level_starts[level]  # right child of its own round
+        right = idx._right.copy()
         if mutation == "self_right_child":
             right[idx.root] = idx.root  # extract of such a file never returns
-        elif mutation == "first_rule_length":
-            lengths[idx.sigma + 1] += 1
+        elif mutation == "right_child_from_later_round":
+            x = rules[~outer][0]  # a first-stage rule of round 1
+            right[x] = idx.level_starts[2]  # the first rule of round 2
         else:
-            lengths[idx.root - 1] += 1
-        bad_idx = EspIndex(
-            sigma=idx.sigma, n=idx.n, u=idx.u, root=idx.root, alphabet=idx.alphabet,
-            left=idx._left, right=right, lengths=lengths,
-        )
+            same = np.flatnonzero(np.diff(level[outer]) == 0)
+            assert same.size, "no round with two outer rules"
+            x, y = rules[outer][same[0]], rules[outer][same[0] + 1]
+            right[x] = y
+
+        def mutated(u):
+            return EspIndex(sigma=idx.sigma, n=idx.n, u=u, root=idx.root,
+                            alphabet=idx.alphabet, left=idx._left, right=right)
+
+        # the header's text length is set to the derived root length, so the
+        # root check passes and only the sum rule can refuse the file
+        u = int(mutated(idx.u)._lengths[idx.root])
+        bad_idx = mutated(u)
         bad = tmp_path / "bad.idx"
         bad_idx.save(str(bad))  # with a valid checksum
-        with pytest.raises(IndexLoadError):
+        with pytest.raises(IndexLoadError, match="add up"):
             EspIndex.load(str(bad))
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         proc = subprocess.run(
             [sys.executable, "-m", "espindex.cli", "extract", "-x", str(bad),
-             "-p", "0", "-l", str(idx.u)],
+             "-p", "0", "-l", str(u)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
         )
         assert proc.returncode == 3
