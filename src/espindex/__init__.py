@@ -10,7 +10,6 @@ from .esp import Grammar, build_grammar, expand, log_star
 from .index import (
     EspIndex,
     Evidence,
-    TreeCursor,
     ChecksumError,
     IndexLoadError,
     MagicError,
@@ -28,7 +27,6 @@ __all__ = [
     "log_star",
     "EspIndex",
     "Evidence",
-    "TreeCursor",
     "encode",
     "IndexLoadError",
     "MagicError",

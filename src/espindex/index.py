@@ -21,7 +21,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, List, Optional, Tuple, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .succinct import BitVector, LargeAlphabetSequence
 __all__ = [
     "EspIndex",
     "Evidence",
-    "TreeCursor",
     "encode",
     "build_index",
     "IndexLoadError",
@@ -211,27 +210,8 @@ def crc64(data: Union[bytes, bytearray, memoryview], crc: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# tree cursors and evidence
+# evidence
 # ---------------------------------------------------------------------------
-
-LEFT, RIGHT = 0, 1
-
-
-@dataclass(frozen=True)
-class TreeCursor:
-    """A root-to-node path in the virtual parse tree.
-
-    ``offset`` is the 1-based text position of the node's first character;
-    ``path`` holds (ancestor symbol, direction taken, ancestor offset) from
-    the root down.
-    """
-
-    node: int
-    offset: int
-    path: Tuple[Tuple[int, int, int], ...] = ()
-
-    def depth(self) -> int:
-        return len(self.path)
 
 
 @dataclass(frozen=True)
@@ -253,24 +233,28 @@ class Evidence:
 # ---------------------------------------------------------------------------
 
 
-def _derive_level_of(sigma: int, left: np.ndarray) -> np.ndarray:
-    """Parsing round of each symbol: 1 + round of its left child.
+def _derive_level_starts(sigma: int, d1: np.ndarray, u: int) -> np.ndarray:
+    """First symbol id of every parsing round, then one past the last rule.
 
-    Left children always come from a strictly earlier round, so one resolving
-    pass per round suffices.
+    Rules are numbered round by round and belong to the round after their
+    left child's, so with ``d1`` monotone the rules of rounds 1..k are those
+    whose left child lies before round k: one ``searchsorted`` per round.  A
+    round that adds no rule means some rule's left child is itself or later.
+    Every round groups its symbols in twos and threes, so a text of length u
+    takes at most ceil(log2 u) rounds; rules that need more than one round
+    beyond that are refused before the rest are walked.
     """
-    total = left.size
-    lv = np.full(total, -1, dtype=np.int64)
-    lv[0 : sigma + 1] = 0
-    pending = np.arange(sigma + 1, total, dtype=np.int64)
-    while pending.size:
-        src = lv[left[pending]]
-        ready = src >= 0
-        if not ready.any():
+    total = sigma + d1.size + 1
+    max_rounds = (u - 1).bit_length() + 1  # ceil(log2 u) + 1
+    starts = [1, sigma + 1]
+    while starts[-1] < total:
+        if len(starts) - 2 == max_rounds:
+            raise IndexLoadError(f"rules take more than {max_rounds} parsing rounds")
+        nxt = sigma + 1 + int(np.searchsorted(d1, starts[-1]))
+        if nxt == starts[-1]:
             raise IndexLoadError("cyclic or malformed rule structure")
-        lv[pending[ready]] = src[ready] + 1
-        pending = pending[~ready]
-    return lv
+        starts.append(nxt)
+    return np.int64(starts)
 
 
 def _derive_lengths(
@@ -421,25 +405,19 @@ class EspIndex:
         # A's symbols are a view of the right-child column, not a copy
         self.A = LargeAlphabetSequence(self._right[self.sigma + 1 :], bound=total_syms)
 
-        level_of = _derive_level_of(self.sigma, self._left)
-        self.level_of = level_of.astype(np.min_scalar_type(int(level_of.max())))
+        starts = _derive_level_starts(self.sigma, d1, self.u)
+        rounds = np.arange(starts.size - 1, dtype=np.min_scalar_type(starts.size - 2))
+        self.level_of = np.concatenate((rounds[:1], np.repeat(rounds, np.diff(starts))))
         self.height = int(self.level_of[self.root])
-        counts = np.bincount(self.level_of[self.sigma + 1 :], minlength=self.height + 1)
-        self.level_starts = np.empty(self.height + 2, dtype=np.int64)
-        self.level_starts[0] = 1
-        self.level_starts[1] = self.sigma + 1
-        if self.height:
-            np.cumsum(counts[1 : self.height + 1], out=self.level_starts[2:])
-            self.level_starts[2:] += self.sigma + 1
+        # rules above the root's round are cut off: they keep length 0 and
+        # fail the load checks
+        self.level_starts = starts[: self.height + 2]
         self._lengths = _derive_lengths(self.sigma, self._left, self._right, self.level_starts)
         self.level_lens = _derive_level_lens(
             self._left, self._right, self.level_starts, self.height, self.root, self.u
         )
 
     # -- basic accessors ------------------------------------------------------
-
-    def is_terminal(self, x: int) -> bool:
-        return 1 <= x <= self.sigma
 
     def symbol_length(self, x: int) -> int:
         if not 1 <= x <= self.sigma + self.n:
@@ -493,80 +471,6 @@ class EspIndex:
         r = self.A.select_many(j, self.A.rank_many(j, p) + 1)
         out[ok] = np.where((r > 0) & (r <= q), r, 0)
         return out
-
-    # -- navigation -------------------------------------------------------------
-
-    def root_cursor(self) -> TreeCursor:
-        return TreeCursor(node=self.root, offset=1, path=())
-
-    def navigate(self, cursor: TreeCursor, move: str) -> Optional[TreeCursor]:
-        """Apply one cursor move; ``lra`` yields None on the rightmost spine."""
-        node, off, path = cursor.node, cursor.offset, cursor.path
-        if move == "parent":
-            if not path:
-                raise ValueError("root has no parent")
-            sym, _, soff = path[-1]
-            return TreeCursor(sym, soff, path[:-1])
-        if move == "left_child":
-            if self.is_terminal(node):
-                raise ValueError("terminals have no children")
-            return TreeCursor(int(self._left[node]), off, path + ((node, LEFT, off),))
-        if move == "right_child":
-            if self.is_terminal(node):
-                raise ValueError("terminals have no children")
-            l = int(self._left[node])
-            return TreeCursor(
-                int(self._right[node]),
-                off + int(self._lengths[l]),
-                path + ((node, RIGHT, off),),
-            )
-        if move == "lra":
-            for d in range(len(path) - 1, -1, -1):
-                if path[d][1] == LEFT:
-                    sym, _, soff = path[d]
-                    return TreeCursor(sym, soff, path[:d])
-            return None
-        if move == "leftmost_leafward":
-            cur = cursor
-            while not self.is_terminal(cur.node):
-                cur = self.navigate(cur, "left_child")
-            return cur
-        raise ValueError(f"unknown move {move!r}")
-
-    def _lowest_left_ancestor(self, cursor: TreeCursor) -> Optional[TreeCursor]:
-        for d in range(len(cursor.path) - 1, -1, -1):
-            if cursor.path[d][1] == RIGHT:
-                sym, _, soff = cursor.path[d]
-                return TreeCursor(sym, soff, cursor.path[:d])
-        return None
-
-    def _adjacent_right(self, cursor: TreeCursor, sym: int) -> Optional[TreeCursor]:
-        """Node labeled ``sym`` whose subtree starts right after cursor's ends."""
-        anc = self.navigate(cursor, "lra")
-        if anc is None:
-            return None
-        v = self.navigate(anc, "right_child")
-        want = int(self._lengths[sym])
-        while True:
-            if v.node == sym:
-                return v
-            if self.is_terminal(v.node) or int(self._lengths[v.node]) < want:
-                return None
-            v = self.navigate(v, "left_child")
-
-    def _adjacent_left(self, cursor: TreeCursor, sym: int) -> Optional[TreeCursor]:
-        """Node labeled ``sym`` whose subtree ends right before cursor's starts."""
-        anc = self._lowest_left_ancestor(cursor)
-        if anc is None:
-            return None
-        v = self.navigate(anc, "left_child")
-        want = int(self._lengths[sym])
-        while True:
-            if v.node == sym:
-                return v
-            if self.is_terminal(v.node) or int(self._lengths[v.node]) < want:
-                return None
-            v = self.navigate(v, "right_child")
 
     # -- pattern machinery --------------------------------------------------------
 
@@ -692,61 +596,12 @@ class EspIndex:
         out.sort()
         return out
 
-    def _core_cursors(self, q: int) -> Iterable[TreeCursor]:
-        """Cursor-yielding variant of core_occurrences, left-to-right."""
-        mask = self._contains_mask(q)
-        if not mask[self.root]:
-            return
-        stack = [self.root_cursor()]
-        while stack:
-            cur = stack.pop()
-            if cur.node == q:
-                yield cur
-                continue
-            if self.is_terminal(cur.node):
-                continue
-            rc = self.navigate(cur, "right_child")
-            if mask[rc.node]:
-                stack.append(rc)
-            lc = self.navigate(cur, "left_child")
-            if mask[lc.node]:
-                stack.append(lc)
-
     def verify_candidate(self, start: int, pattern: bytes) -> bool:
         """True iff the text window at ``start`` equals the pattern."""
         m = len(pattern)
         if start < 1 or start + m - 1 > self.u:
             raise IndexError(f"window [{start}, {start + m}) out of range")
         return self.extract(start, m) == pattern
-
-    def embed_evidence(self, core_cursor: TreeCursor, ev: Evidence) -> bool:
-        """Adjacency-walk embedding of the evidence around one core node.
-
-        Decides the same predicate as verify_candidate at the implied start:
-        in a true occurrence every evidence symbol is an actual tree node, so
-        matching them along adjacent spines left and right of the core either
-        succeeds completely or the window differs from the pattern.
-        """
-        q, r = ev.runs[ev.core_index]
-        if core_cursor.node != q:
-            raise ValueError("cursor is not positioned on the core symbol")
-        cur = core_cursor
-        for _ in range(r - 1):
-            cur = self._adjacent_right(cur, q)
-            if cur is None:
-                return False
-        for sym, mult in ev.runs[ev.core_index + 1 :]:
-            for _ in range(mult):
-                cur = self._adjacent_right(cur, sym)
-                if cur is None:
-                    return False
-        cur = core_cursor
-        for sym, mult in reversed(ev.runs[: ev.core_index]):
-            for _ in range(mult):
-                cur = self._adjacent_left(cur, sym)
-                if cur is None:
-                    return False
-        return True
 
     # -- queries ---------------------------------------------------------------
 
@@ -800,22 +655,16 @@ class EspIndex:
                 act, x, r, want = act[more], x[more], r[more], want[more]
         return node, pos - rem
 
-    def locate(self, pattern: bytes, _stats: Optional[dict] = None) -> List[int]:
-        """All 1-based start positions of the pattern, ascending, no duplicates."""
-        if len(pattern) == 0:
-            raise ValueError("empty pattern")
-        ev = self.pattern_evidence(pattern)
-        if ev is None:
-            if _stats is not None:
-                _stats.update(occ_c=0, candidates=0, evidence_runs=0)
-            return []
-        cand, occ_c = self._candidates(ev, len(pattern))
-        if _stats is not None:
-            _stats.update(occ_c=occ_c, candidates=int(cand.size), evidence_runs=len(ev.runs))
-        # in a true occurrence every evidence symbol is a tree node, and nodes
-        # covering the window prove it: confirm each copy of every non-core
-        # run as a node at its offset, longest symbols first, in waves of
-        # 1, 2, 4, ... copies (few copies while candidates are many)
+    def _confirm(self, ev: Evidence, cand: np.ndarray) -> np.ndarray:
+        """The candidates of :meth:`_candidates` at which the text matches the
+        pattern whose evidence is ``ev``, in their given order.
+
+        In a true occurrence every evidence symbol is a tree node, and nodes
+        covering the window prove it.  The core run's copies are nodes by
+        construction of the candidates; each copy of every other run is
+        confirmed as a node at its offset, longest symbols first, in waves of
+        1, 2, 4, ... copies (few copies while candidates are many).
+        """
         syms, offs = [], []
         off = 0
         for ri, (sym, mult) in enumerate(ev.runs):
@@ -835,7 +684,21 @@ class EspIndex:
             hit = (node == np.tile(syms[wave], cand.size)) & (start == pos)
             cand = cand[hit.reshape(cand.size, -1).all(axis=1)]
             lo, width = lo + width, 2 * width
-        return cand.tolist()
+        return cand
+
+    def locate(self, pattern: bytes, _stats: Optional[dict] = None) -> List[int]:
+        """All 1-based start positions of the pattern, ascending, no duplicates."""
+        if len(pattern) == 0:
+            raise ValueError("empty pattern")
+        ev = self.pattern_evidence(pattern)
+        if ev is None:
+            if _stats is not None:
+                _stats.update(occ_c=0, candidates=0, evidence_runs=0)
+            return []
+        cand, occ_c = self._candidates(ev, len(pattern))
+        if _stats is not None:
+            _stats.update(occ_c=occ_c, candidates=int(cand.size), evidence_runs=len(ev.runs))
+        return self._confirm(ev, cand).tolist()
 
     def count(self, pattern: bytes) -> int:
         """Number of occurrences (the size of locate's answer)."""

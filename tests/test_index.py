@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from espindex.index import (
     unpack_ints,
 )
 from espindex.oracle import naive_reverse_dict, naive_search
+from espindex.succinct import BitVector
 
 from conftest import near_duplicates, text_family
 
@@ -121,68 +123,6 @@ class TestReverseLookup:
         assert fx.reverse_lookup_many([], []).size == 0
 
 
-class TestNavigation:
-    def test_leftmost_leaf_is_first_char(self, rng):
-        t = text_family(rng, 0, 300)
-        idx = encode(build_grammar(t))
-        cur = idx.navigate(idx.root_cursor(), "leftmost_leafward")
-        assert idx.is_terminal(cur.node)
-        assert cur.offset == 1
-        assert idx.alphabet[cur.node - 1] == t[0]
-
-    def test_child_parent_inverse(self, rng):
-        t = text_family(rng, 3, 500)
-        idx = encode(build_grammar(t))
-        cur = idx.root_cursor()
-        rng2 = random.Random(5)
-        for _ in range(30):
-            if idx.is_terminal(cur.node):
-                cur = idx.root_cursor()
-            move = rng2.choice(["left_child", "right_child"])
-            down = idx.navigate(cur, move)
-            assert idx.navigate(down, "parent") == cur
-            cur = down
-
-    def test_parent_of_root_raises(self):
-        idx = fixture_index()
-        with pytest.raises(ValueError):
-            idx.navigate(idx.root_cursor(), "parent")
-
-    def test_lra_adjacency_oracle(self, rng):
-        # right_child(lra(v)) leads to exactly the nodes left-adjacent to v,
-        # checked by offset arithmetic over full traversals
-        for trial in range(6):
-            t = text_family(rng, trial, rng.randrange(30, 250))
-            idx = encode(build_grammar(t))
-            cursors = []
-            stack = [idx.root_cursor()]
-            while stack:
-                c = stack.pop()
-                cursors.append(c)
-                if not idx.is_terminal(c.node):
-                    stack.append(idx.navigate(c, "left_child"))
-                    stack.append(idx.navigate(c, "right_child"))
-            by_offset = {}
-            for c in cursors:
-                by_offset.setdefault(c.offset, []).append(c)
-            for c in cursors:
-                a = idx.navigate(c, "lra")
-                end = c.offset + idx.symbol_length(c.node)
-                if a is None:
-                    # no left edge upward: nothing starts right after c
-                    assert end > idx.u
-                    continue
-                rc = idx.navigate(a, "right_child")
-                assert rc.offset == end
-                # descending the left spine enumerates all nodes at that offset
-                chain = [rc]
-                v = rc
-                while not idx.is_terminal(v.node):
-                    v = idx.navigate(v, "left_child")
-                    chain.append(v)
-                assert {x.node for x in chain} == {x.node for x in by_offset[end]}
-
-
 class TestEvidence:
     def test_whole_text_is_root_run(self, rng):
         for trial in range(20):
@@ -257,6 +197,51 @@ class TestCandidatesAndVerification:
                 assert occ.tolist() == sorted(positions[q])
                 assert np.all(np.diff(occ) > 0)
 
+    def test_nodes_at_matches_unfolding(self, rng):
+        texts = [text_family(rng, kind, rng.randrange(30, 300)) for kind in range(6)]
+        texts.append(b"a" * 50 + b"b" + b"a" * 50)
+        for t in texts:
+            g = build_grammar(t)
+            idx = encode(g)
+            nodes = []  # (symbol, start) of every parse-tree node, by naive unfolding
+
+            def unfold(x, off):
+                nodes.append((int(x), off))
+                if x > g.sigma:
+                    unfold(int(g.left[x]), off)
+                    unfold(int(g.right[x]), off + int(g.lengths[g.left[x]]))
+
+            unfold(g.root, 1)
+            syms = np.int64([x for x, _ in nodes])
+            starts = np.int64([p for _, p in nodes])
+            node, start = idx._nodes_at(starts, g.lengths[syms])
+            assert np.array_equal(node, syms) and np.array_equal(start, starts), t[:20]
+            # the nodes starting at one offset form one left spine
+            at = {}
+            for x, p in nodes:
+                at.setdefault(p, []).append(x)
+            for xs in at.values():
+                xs.sort(key=lambda x: -int(g.lengths[x]))
+                assert all(int(g.left[a]) == b for a, b in zip(xs, xs[1:])), t[:20]
+            # a (p, L) pair that is no node: the descent stops at the longest
+            # node through p no longer than L, which is not one of length L at p
+            is_node = {(p, int(g.lengths[x])) for x, p in nodes}
+            path = [[] for _ in range(len(t) + 2)]  # nodes through each position
+            for x, p in nodes:
+                for q in range(p, p + int(g.lengths[x])):
+                    path[q].append((int(g.lengths[x]), x, p))
+            pairs = []
+            while len(pairs) < 300:
+                p = rng.randrange(1, len(t) + 1)
+                L = rng.randrange(1, len(t) - p + 2)
+                if (p, L) not in is_node:
+                    pairs.append((p, L))
+            node, start = idx._nodes_at(np.int64([p for p, _ in pairs]),
+                                        np.int64([L for _, L in pairs]))
+            for (p, L), x, st in zip(pairs, node.tolist(), start.tolist()):
+                assert (x, st) == max(nd for nd in path[p] if nd[0] <= L)[1:], (t[:20], p, L)
+                assert not (st == p and g.lengths[x] == L)
+
     def test_contains_mask_matches_ancestor_closure(self, rng):
         texts = [b"abcabcabd" * 7, b"a" * 50 + b"b" + b"a" * 50]
         texts += [text_family(rng, kind, rng.randrange(60, 300)) for kind in range(6)]
@@ -308,14 +293,17 @@ class TestCandidatesAndVerification:
             idx.verify_candidate(4, b"ab")
 
     def test_embed_whole_text_at_root(self, rng):
+        # the whole text's evidence is the root alone: one candidate, confirmed
         t = text_family(rng, 4, 300)
         idx = encode(build_grammar(t))
         ev = idx.pattern_evidence(t)
-        assert idx.embed_evidence(idx.root_cursor(), ev) is True
+        cand, _ = idx._candidates(ev, len(t))
+        assert cand.tolist() == [1]
+        assert idx._confirm(ev, cand).tolist() == [1]
 
     def test_embed_across_repetition_runs(self):
         # pattern straddling the lone separator between two long runs:
-        # embedding through repetition subtrees must match naive search
+        # confirmation through repetition subtrees must match naive search
         t = b"a" * 50 + b"b" + b"a" * 50
         idx = encode(build_grammar(t))
         for p in (b"aaba", b"aab", b"baa", b"a" * 10 + b"b" + b"a" * 3, b"bb"):
@@ -323,11 +311,10 @@ class TestCandidatesAndVerification:
             ev = idx.pattern_evidence(p)
             if ev is None:
                 continue
-            q, _ = ev.runs[ev.core_index]
-            for cur in idx._core_cursors(q):
-                s = cur.offset - ev.core_pattern_offset
-                if 1 <= s and s + len(p) - 1 <= idx.u:
-                    assert idx.embed_evidence(cur, ev) == idx.verify_candidate(s, p)
+            cand, _ = idx._candidates(ev, len(p))
+            for s in cand.tolist():
+                ok = idx._confirm(ev, np.int64([s])).tolist() == [s]
+                assert ok == idx.verify_candidate(s, p), (p, s)
 
     def test_embed_agrees_with_verify(self, rng):
         checked = 0
@@ -339,15 +326,11 @@ class TestCandidatesAndVerification:
                 st = rng.randrange(0, len(t) - m + 1)
                 p = t[st : st + m]
                 ev = idx.pattern_evidence(p)
-                q, _ = ev.runs[ev.core_index]
-                for cur in idx._core_cursors(q):
-                    s = cur.offset - ev.core_pattern_offset
-                    if s < 1 or s + m - 1 > idx.u:
-                        continue
-                    assert idx.embed_evidence(cur, ev) == idx.verify_candidate(s, p)
-                    checked += 1
+                cand, _ = idx._candidates(ev, m)
+                want = [s for s in cand.tolist() if idx.verify_candidate(s, p)]
+                assert idx._confirm(ev, cand).tolist() == want, (trial, p[:20])
+                checked += int(cand.size)
         assert checked > 500
-
 
 class TestQueries:
     def test_count_examples(self):
@@ -383,7 +366,8 @@ class TestQueries:
         """Node-membership confirmation against extraction of every candidate."""
         runs = b"a" * 50 + b"b" + b"a" * 50
         cases = [(text_family(rng, kind, rng.choice([3000, 8000])), []) for kind in range(12)]
-        cases.append((runs, [b"a" * 10 + b"b" + b"a" * 3, b"a" * 5 + b"b" + b"a" * 40, b"aaba"]))
+        cases.append((runs, [b"a" * 10 + b"b" + b"a" * 3, b"a" * 5 + b"b" + b"a" * 40, b"aaba",
+                         b"aab", b"baa", b"bb"]))
         seen = {"few": 0, "many": 0, "repeated run": 0, "one run": 0, "whole text": 0}
         for t, pats in cases:
             idx = encode(build_grammar(t))
@@ -604,6 +588,39 @@ class TestSerialization:
             EspIndex.deserialize(bytes(data))
         bad = tmp_path / "bad.idx"
         bad.write_bytes(bytes(data))
+        assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "1"]) == 3
+
+    @staticmethod
+    def left_chain_file(n: int) -> bytes:
+        """A valid-checksum file over the one byte "a" whose n rules form a
+        left chain: rule x has children (x - 1, "a"), the last is the root."""
+        sigma, u = 1, n + 1
+        d1 = np.arange(1, n + 1)
+        bits = np.zeros(2 * n + sigma, dtype=np.uint8)
+        bits[d1 + np.arange(n)] = 1
+        width = (sigma + n).bit_length()
+        a_words = pack_ints(np.ones(n, dtype=np.int64), width)
+        table = np.zeros(256, dtype="<u2")
+        table[ord("a")] = 1
+        data = (b"ESPIDX02" + struct.pack("<QQQQ", u, sigma, n, sigma + n) + table.tobytes()
+                + struct.pack("<Q", bits.size) + BitVector(bits).words.astype("<u8").tobytes()
+                + struct.pack("<BQ", width, a_words.size) + a_words.astype("<u8").tobytes())
+        return data + struct.pack("<Q", crc64(data))
+
+    def test_round_bound(self, tmp_path):
+        # a text of length u takes at most ceil(log2 u) + 1 rounds: a 4-rule
+        # chain (u = 5, 4 rounds) loads, a 5-rule chain (u = 6) needs one too many
+        assert EspIndex.deserialize(self.left_chain_file(4)).extract(1, 5) == b"a" * 5
+        with pytest.raises(IndexLoadError, match="parsing rounds"):
+            EspIndex.deserialize(self.left_chain_file(5))
+        # a long chain is refused once the bound is passed, not walked to its end
+        data = self.left_chain_file(5000)
+        t0 = time.process_time()
+        with pytest.raises(IndexLoadError, match="parsing rounds"):
+            EspIndex.deserialize(data)
+        assert time.process_time() - t0 < 1
+        bad = tmp_path / "chain.idx"
+        bad.write_bytes(data)
         assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "1"]) == 3
 
     @pytest.mark.parametrize("kind, size, sha256", [
