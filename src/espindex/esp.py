@@ -436,14 +436,6 @@ class Grammar:
     def d2(self) -> np.ndarray:
         return self.right[self.sigma + 1 :]
 
-    def is_terminal(self, x: int) -> bool:
-        return 1 <= x <= self.sigma
-
-    def byte_to_terminal(self) -> np.ndarray:
-        table = np.zeros(256, dtype=np.int64)
-        table[self.alphabet] = np.arange(1, self.sigma + 1)
-        return table
-
     def level_alphabet_bound(self, level: int) -> int:
         """Largest symbol id in existence when the given round started."""
         if not 1 <= level <= max(self.height, 1):

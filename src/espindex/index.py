@@ -33,7 +33,6 @@ __all__ = [
     "EspIndex",
     "Evidence",
     "encode",
-    "build_index",
     "IndexLoadError",
     "MagicError",
     "VersionError",
@@ -218,14 +217,19 @@ def crc64(data: Union[bytes, bytearray, memoryview], crc: int = 0) -> int:
 class Evidence:
     """Run-length-compressed symbol string characterizing the pattern.
 
-    Concatenated expansions of ``runs`` equal the pattern; occurrences of the
-    core run's symbol in the parse tree generate every candidate match.
+    Concatenated expansions of ``runs`` equal the pattern.  ``core`` lists
+    (symbol, 0-based character offset in P) alternatives, one of which is a
+    parse-tree node in every occurrence: their occurrences generate every
+    candidate match.  Usually the core is the core run's symbol alone; when
+    the pattern parse finds no stable group at level 1, the core run is one
+    raw terminal and ``core`` holds the level-1 rules that can cover it.
     """
 
     runs: Tuple[Tuple[int, int], ...]  # (symbol, multiplicity)
     core_index: int
     core_pattern_offset: int  # 0-based character offset of the core run in P
     total_length: int
+    core: Tuple[Tuple[int, int], ...]  # (symbol, offset) alternatives
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +483,10 @@ class EspIndex:
         the reverse-dictionary simulation, and keep boundary symbols raw.
         Each level resolves all its digrams in two batched lookups.
 
-        None means the pattern cannot occur: either it uses a byte the text
-        lacks, or a digram strictly inside the stable region has no rule.
+        None means the pattern cannot occur: it uses a byte the text lacks,
+        a digram strictly inside the stable region has no rule, or, with no
+        stable group at level 1, some byte has no level-1 rule to cover it
+        (see :meth:`_level1_covers`).
         """
         m = len(pattern)
         if m == 0:
@@ -541,47 +547,105 @@ class EspIndex:
             off += slen * r
         if off != m:
             raise AssertionError(f"evidence expansion covers {off} of {m} chars")
+        core = ((runs[best][0], core_off),)
+        if level == 1 and not w.size:  # no stable group: every symbol is a raw terminal
+            lift = self._level1_covers(ids)
+            if lift is not None:
+                core_off, core = lift
+                if not core:
+                    return None
+                # runs of raw terminals: the run index is the count of changes
+                best = int(np.count_nonzero(ids[1 : core_off + 1] != ids[:core_off]))
         return Evidence(
             runs=tuple(runs),
             core_index=best,
             core_pattern_offset=core_off,
             total_length=m,
+            core=core,
         )
 
-    def _contains_mask(self, q: int) -> np.ndarray:
-        """Symbols whose expansion tree contains a node labeled q (q included).
+    def _level1_covers(self, ids: np.ndarray) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+        """Lift one raw terminal of a pattern (terminal ids ``ids``) to the
+        level-1 rules that can cover it.
+
+        ESP groups the whole text in twos and threes, so in every occurrence
+        the character at 0-based offset k, 1 <= k <= m-3, has a level-1
+        parent inside the window.  The node covering it is labeled
+        pair(P[k-1], P[k]) from offset k-1, pair(P[k], P[k+1]) from k, or the
+        outer rule (P[k], pair(P[k+1], P[k+2])) from k: a 3-group's inner
+        node is one of the two pairs.  Rules are unique per digram, so two
+        batched lookups give every k its alternatives.
+
+        Returns (k, alternatives) as (symbol, offset) pairs for the k with
+        the fewest, ties going to the middle, among positions whose terminal
+        differs from both neighbours (a run keeps its chain filter).  An
+        empty tuple means some k has no alternative, so the pattern cannot
+        occur.  None when no position qualifies.
+        """
+        m = ids.size
+        ks = np.arange(1, m - 2)
+        lone = np.flatnonzero((ids[ks] != ids[ks - 1]) & (ids[ks] != ids[ks + 1]))
+        if not lone.size:
+            return None
+        pair = self.reverse_lookup_many(ids[:-1], ids[1:])  # pair[j]: (P[j], P[j+1])
+        inner = pair[ks + 1]
+        has = inner > 0
+        outer = np.zeros(ks.size, dtype=np.int64)
+        outer[has] = self.reverse_lookup_many(ids[ks[has]], self.sigma + inner[has])
+        alts = np.stack((pair[ks - 1], pair[ks], outer))  # rule ordinals, 0: none
+        count = np.count_nonzero(alts, axis=0)
+        if not count.all():
+            return int(ks[count.argmin()]), ()
+        # fewer alternatives first; |2k - (m-1)| <= m breaks ties to the middle
+        cost = count[lone] * (m + 1) + np.abs(2 * ks[lone] - (m - 1))
+        j = int(lone[cost.argmin()])
+        k = int(ks[j])
+        return k, tuple(
+            (self.sigma + int(a), o) for a, o in zip(alts[:, j].tolist(), (k - 1, k, k)) if a
+        )
+
+    def _contains_mask(self, q) -> np.ndarray:
+        """Symbols whose expansion tree contains a node labeled q, or one of
+        the symbols in q (those included).
 
         No rule of a round before q's own can contain q, so the sweep starts
-        at that round.  Within a round, two passes: the first settles rules
-        whose children come from earlier rounds, the second the outer rules
-        of 3-groups, whose right child is a first-stage rule of the same round.
+        at the earliest such round.  Within a round, two passes: the first
+        settles rules whose children come from earlier rounds, the second the
+        outer rules of 3-groups, whose right child is a first-stage rule of
+        the same round.
         """
         mask = np.zeros(self.sigma + self.n + 1, dtype=bool)
         mask[q] = True
-        for lv in range(max(int(self.level_of[q]), 1), self.height + 1):
+        for lv in range(max(int(np.min(self.level_of[q])), 1), self.height + 1):
             lo, hi = int(self.level_starts[lv]), int(self.level_starts[lv + 1])
             seg, l, r = mask[lo:hi], self._left[lo:hi], self._right[lo:hi]
             for _ in range(2):
                 seg |= mask[l] | mask[r]
         return mask
 
-    def core_occurrences(self, q: int) -> np.ndarray:
-        """1-based start positions of every parse-tree node labeled q, ascending."""
-        if not 1 <= q <= self.sigma + self.n:
+    def core_occurrences(self, q) -> np.ndarray:
+        """Parse-tree nodes labeled one symbol or any of several.
+
+        For one symbol q: the 1-based start of every node labeled q,
+        ascending.  For a sequence of distinct symbols: one (start, t) row
+        per node labeled ``q[t]``, ascending by start, then t.  One mask
+        sweep and one walk serve every symbol; the walk descends through hit
+        nodes too, since one symbol can occur inside another's expansion.
+        """
+        qs = np.atleast_1d(np.asarray(q, dtype=np.int64))
+        if not qs.size or qs.min() < 1 or qs.max() > self.sigma + self.n:
             raise IndexError(f"symbol {q} out of range")
-        mask = self._contains_mask(q)
-        if not mask[self.root]:
-            return np.empty(0, dtype=np.int64)
-        nodes = np.int64([self.root])
+        nq = qs.size
+        mask = self._contains_mask(qs)
+        found: List[np.ndarray] = []  # start * nq + t of every hit
+        targets = list(enumerate(qs.tolist()))
+        nodes = np.int64([self.root] if mask[self.root] else [])
         offs = np.int64([1])
-        found: List[np.ndarray] = []
         while nodes.size:
-            hit = nodes == q
-            if hit.any():
-                found.append(offs[hit])
-                nodes, offs = nodes[~hit], offs[~hit]
-            if not nodes.size:
-                break
+            for t, x in targets:
+                at = offs[nodes == x]
+                if at.size:
+                    found.append(at * nq + t)
             l = self._left[nodes]
             r = self._right[nodes]
             lo = offs
@@ -590,11 +654,11 @@ class EspIndex:
             kr = mask[r]
             nodes = np.concatenate((l[kl], r[kr]))
             offs = np.concatenate((lo[kl], ro[kr]))
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        out = np.concatenate(found)
-        out.sort()
-        return out
+        keys = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+        keys.sort()
+        if np.ndim(q) == 0:
+            return keys
+        return np.stack((keys // nq, keys % nq), axis=1)
 
     def verify_candidate(self, start: int, pattern: bytes) -> bool:
         """True iff the text window at ``start`` equals the pattern."""
@@ -614,20 +678,22 @@ class EspIndex:
         return grp_end - np.arange(occ.size) + 1
 
     def _candidates(self, ev: Evidence, m: int) -> Tuple[np.ndarray, int]:
-        """Ascending candidate starts from core occurrences (pre-confirmation).
+        """Ascending candidate starts (pre-confirmation): the union of
+        occurrence - offset over the core's alternatives, and the number of
+        occurrences of all alternatives.
 
-        Nodes labeled q never share a start, so the occurrences, and the
-        candidates derived from them, are already strictly increasing.
+        Nodes labeled one symbol never share a start, so one alternative's
+        candidates are already strictly increasing; several are merged.
         """
+        offs = np.int64([o for _, o in ev.core])
+        occ = self.core_occurrences([x for x, _ in ev.core])
+        cand = occ[:, 0] - offs[occ[:, 1]]
         q, r = ev.runs[ev.core_index]
-        occ = self.core_occurrences(q)
-        occ_c = int(occ.size)
-        if occ_c == 0:
-            return np.empty(0, dtype=np.int64), 0
-        if r > 1:
-            occ = occ[self._chain_lengths(occ, int(self._lengths[q])) >= r]
-        cand = occ - ev.core_pattern_offset
-        return cand[(cand >= 1) & (cand + m - 1 <= self.u)], occ_c
+        if r > 1:  # the core run's symbol alone: a lifted core's run is one copy
+            cand = cand[self._chain_lengths(occ[:, 0], int(self._lengths[q])) >= r]
+        if offs.size > 1:
+            cand = np.unique(cand)
+        return cand[(cand >= 1) & (cand + m - 1 <= self.u)], len(occ)
 
     def _nodes_at(self, pos: np.ndarray, want_len: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(symbol, start) of the first node no longer than ``want_len[t]`` on
@@ -660,10 +726,12 @@ class EspIndex:
         pattern whose evidence is ``ev``, in their given order.
 
         In a true occurrence every evidence symbol is a tree node, and nodes
-        covering the window prove it.  The core run's copies are nodes by
-        construction of the candidates; each copy of every other run is
-        confirmed as a node at its offset, longest symbols first, in waves of
-        1, 2, 4, ... copies (few copies while candidates are many).
+        covering the window prove it.  The core run's copies are covered by
+        construction of the candidates: they are nodes labeled the core
+        symbol, or the one lifted copy lies inside a node labeled one of its
+        alternatives.  Each copy of every other run is confirmed as a node at
+        its offset, longest symbols first, in waves of 1, 2, 4, ... copies
+        (few copies while candidates are many).
         """
         syms, offs = [], []
         off = 0
@@ -687,7 +755,12 @@ class EspIndex:
         return cand
 
     def locate(self, pattern: bytes, _stats: Optional[dict] = None) -> List[int]:
-        """All 1-based start positions of the pattern, ascending, no duplicates."""
+        """All 1-based start positions of the pattern, ascending, no duplicates.
+
+        ``_stats`` receives ``occ_c`` (tree occurrences of every core
+        alternative), ``candidates`` (after the chain and range filters) and
+        ``evidence_runs``.
+        """
         if len(pattern) == 0:
             raise ValueError("empty pattern")
         ev = self.pattern_evidence(pattern)
@@ -902,8 +975,3 @@ def encode(g: Grammar) -> EspIndex:
         left=g.left,
         right=g.right,
     )
-
-
-def build_index(data: bytes) -> EspIndex:
-    """Parse and encode in one step."""
-    return encode(esp.build_grammar(data))

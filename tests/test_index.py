@@ -28,7 +28,7 @@ from espindex.index import (
 from espindex.oracle import naive_reverse_dict, naive_search
 from espindex.succinct import BitVector
 
-from conftest import near_duplicates, text_family
+from conftest import fibonacci_text, near_duplicates, text_family
 
 
 def fixture_index() -> EspIndex:
@@ -38,6 +38,22 @@ def fixture_index() -> EspIndex:
         sigma=2, n=4, u=3, root=6, alphabet=np.uint8([97, 98]),
         left=np.int64([0, 0, 0, 1, 1, 2, 3]), right=np.int64([0, 0, 0, 2, 3, 3, 1]),
     )
+
+
+def templated_lines(rng: random.Random, count: int) -> bytes:
+    """Log-like lines from one template: many short repeats, few distinct."""
+    verbs = [b"GET", b"PUT", b"POST", b"DELETE"]
+    return b"".join(
+        b"2024-05-%02d %s /api/v%d/item/%d status=%d\n" % (
+            rng.randrange(1, 29), rng.choice(verbs), rng.randrange(1, 3),
+            rng.randrange(1000), rng.choice([200, 404, 500]))
+        for _ in range(count)
+    )
+
+
+def is_lifted(ev) -> bool:
+    """Whether the evidence's core was lifted from a raw terminal to level 1."""
+    return ev is not None and ev.core[0][0] != ev.runs[ev.core_index][0]
 
 
 class TestEncoding:
@@ -170,6 +186,61 @@ class TestEvidence:
                     idx.symbol_length(s) for s, _ in ev.runs
                 )
 
+    def test_lifted_core_alternatives_cover_the_copy(self, rng):
+        texts = [text_family(rng, kind, rng.randrange(300, 1500)) for kind in range(6)]
+        texts += [b"ab" * 300, templated_lines(rng, 30)]
+        lifted = 0
+        for t in texts:
+            g = build_grammar(t)
+            idx = encode(g)
+            for _ in range(40):
+                m = rng.randrange(4, 13)
+                st = rng.randrange(0, len(t) - m + 1)
+                p = t[st : st + m]
+                ev = idx.pattern_evidence(p)
+                if not is_lifted(ev):
+                    continue
+                lifted += 1
+                k = ev.core_pattern_offset
+                assert 1 <= k <= m - 3
+                assert ev.runs[ev.core_index] == (int(idx.byte_to_term[p[k]]), 1)
+                assert sum(r for _, r in ev.runs[: ev.core_index]) == k  # all raw terminals
+                assert 1 <= len(ev.core) <= 3
+                for x, o in ev.core:
+                    assert idx.level_of[x] == 1
+                    ln = idx.symbol_length(x)
+                    assert esp.expand(g, x) == p[o : o + ln]
+                    assert o <= k < o + ln
+                # the occurrence the pattern was drawn from is a candidate
+                cand, _ = idx._candidates(ev, m)
+                assert st + 1 in cand.tolist()
+        assert lifted > 50
+
+    def test_missing_cover_means_no_occurrence(self):
+        t = b"abc" * 200
+        idx = encode(build_grammar(t))
+        # the text has no digram (a, c), (c, b) or (b, a), so no level-1 rule
+        # can cover the 'c' at offset 4
+        p = b"abcacbabc"
+        ids = idx.byte_to_term[np.frombuffer(p, dtype=np.uint8)]
+        _, alts = idx._level1_covers(ids)
+        assert alts == ()
+        assert idx.pattern_evidence(p) is None
+        assert idx.locate(p) == [] == naive_search(t, p)
+
+    def test_run_pattern_keeps_run_core(self):
+        t = b"a" * 50 + b"b" + b"a" * 50
+        idx = encode(build_grammar(t))
+        a = int(idx.byte_to_term[ord("a")])
+        for m in (4, 10, 16):
+            p = b"a" * m
+            ev = idx.pattern_evidence(p)
+            assert ev.core == ((ev.runs[ev.core_index][0], ev.core_pattern_offset),)
+            assert idx.locate(p) == naive_search(t, p)
+        assert idx.pattern_evidence(b"a" * 10).runs == ((a, 10),)
+        ids = idx.byte_to_term[np.frombuffer(b"a" * 10, dtype=np.uint8)]
+        assert idx._level1_covers(ids) is None
+
 
 class TestCandidatesAndVerification:
     def test_core_occurrences_examples(self, rng):
@@ -196,6 +267,22 @@ class TestCandidatesAndVerification:
                 occ = idx.core_occurrences(q)
                 assert occ.tolist() == sorted(positions[q])
                 assert np.all(np.diff(occ) > 0)
+            # several symbols in one call: a rule with one of its descendants,
+            # plus symbols drawn at random
+            rules = [x for x in positions if x > g.sigma]
+            for _ in range(8):
+                qs = rng.sample(sorted(positions), min(rng.randrange(1, 4), len(positions)))
+                if rules:
+                    x = rng.choice(rules)
+                    y = int(g.right[x]) if rng.random() < 0.5 else int(g.left[x])
+                    while y > g.sigma and rng.random() < 0.5:
+                        y = int(g.left[y]) if rng.random() < 0.5 else int(g.right[y])
+                    qs = list(dict.fromkeys(qs + [x, y]))
+                    rng.shuffle(qs)
+                rows = idx.core_occurrences(qs)
+                want = sorted((p, i) for i, q in enumerate(qs) for p in positions[q])
+                assert rows.shape == (len(want), 2)
+                assert [tuple(r) for r in rows.tolist()] == want
 
     def test_nodes_at_matches_unfolding(self, rng):
         texts = [text_family(rng, kind, rng.randrange(30, 300)) for kind in range(6)]
@@ -361,6 +448,57 @@ class TestQueries:
                 assert idx.locate(p) == naive_search(t, p)
                 absent = rng.randbytes(m)
                 assert idx.locate(absent) == naive_search(t, absent)
+
+    def test_short_and_near_miss_patterns_match_oracle(self, rng):
+        """Short patterns drawn from the text, one-byte edits of them and
+        patterns straddling two copies of a repeat, against naive search."""
+        cases = [(text_family(rng, kind, rng.randrange(600, 2500)), None) for kind in range(6)]
+        cases.append((b"ab" * 700, 2))
+        # period-2 stretches of every phase: a level-1 outer rule (b, (a, b))
+        # holds a pair alternative (a, b) inside it
+        pieces = [b"ab", b"aba", b"c", b"abab", b"babab"]
+        cases.append((b"".join(rng.choice(pieces) for _ in range(600)), None))
+        lines = templated_lines(rng, 60)
+        cases.append((lines, [i + 1 for i, c in enumerate(lines) if c == 10]))
+        cases.append((near_duplicates(rng, 2000, copies=5), 400))
+        total = lifted = 0
+        for t, bounds in cases:
+            idx = encode(build_grammar(t))
+            if isinstance(bounds, int):  # copies of a repeat of this length
+                bounds = list(range(bounds, len(t), bounds))
+            pats = []
+            for _ in range(40):
+                m = rng.randrange(4, 17)
+                st = rng.randrange(0, len(t) - m + 1)
+                p = t[st : st + m]
+                i = rng.randrange(m)
+                c = bytes([rng.choice(t)])
+                pats += [p, p[:i] + c + p[i + 1 :], p[:i] + c + p[i:], p[:i] + p[i + 1 :]]
+            for b in rng.sample(bounds, min(20, len(bounds))) if bounds else ():
+                m = rng.randrange(4, 17)
+                st = min(max(b - rng.randrange(1, m), 0), len(t) - m)
+                pats.append(t[st : st + m])
+            for p in pats:
+                total += 1
+                lifted += is_lifted(idx.pattern_evidence(p))
+                assert idx.locate(p) == naive_search(t, p), (t[:20], p)
+        assert 3 * lifted >= total, (lifted, total)
+
+    def test_long_near_miss_patterns_on_fibonacci_text(self, rng):
+        """Long patterns and one-byte edits of them on Fibonacci texts, whose
+        repeats nest at every scale: a node can carry the symbol confirmation
+        asks for at a position it covers without starting there."""
+        for size in (3000, 8000):
+            t = fibonacci_text(size)
+            idx = encode(build_grammar(t))
+            for _ in range(60):
+                m = rng.randrange(200, 1200)
+                st = rng.randrange(0, len(t) - m + 1)
+                p = t[st : st + m]
+                i = rng.randrange(m)
+                c = bytes([rng.choice(b"ab")])
+                for q in (p, p[:i] + c + p[i + 1 :], p[:i] + c + p[i:], p[:i] + p[i + 1 :]):
+                    assert idx.locate(q) == naive_search(t, q), (size, st, m, i)
 
     def test_locate_matches_candidate_verification(self, rng):
         """Node-membership confirmation against extraction of every candidate."""
