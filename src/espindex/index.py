@@ -453,28 +453,27 @@ class EspIndex:
 
     # -- reverse dictionary simulation -----------------------------------------
 
-    def reverse_lookup(self, i: int, j: int) -> Optional[int]:
-        """Rule ordinal k with children (i, j), or None.  Absence is normal."""
-        return int(self.reverse_lookup_many([i], [j])[0]) or None
-
-    def reverse_lookup_many(self, lefts, rights) -> np.ndarray:
-        """Batched :meth:`reverse_lookup` over pairs ``(lefts[t], rights[t])``:
-        rule ordinals, 0 where no rule has those children."""
+    def reverse_lookup(self, lefts, rights):
+        """Rule ordinal k with children ``(lefts, rights)``.  Absence is
+        normal: for one pair an int, or ``None``; for arrays of pairs
+        ``(lefts[t], rights[t])`` an int64 array, 0 where no rule has those
+        children."""
         i = np.asarray(lefts, dtype=np.int64)
         j = np.asarray(rights, dtype=np.int64)
+        scalar = i.ndim == 0 and j.ndim == 0
+        i, j = np.atleast_1d(i, j)
         out = np.zeros(i.shape, dtype=np.int64)
         total = self.sigma + self.n
         ok = (i >= 1) & (i <= total) & (j >= 1) & (j <= total)
-        if self.n == 0 or not ok.any():
-            return out
-        i, j = i[ok], j[ok]
-        zero = self.B.select_many(0, np.concatenate((i, i + 1)))
-        p = zero[: i.size] - i
-        nxt = zero[i.size :]
-        q = np.where(nxt > 0, nxt - (i + 1), self.n)  # no (i+1)-th zero: q = n
-        r = self.A.select_many(j, self.A.rank_many(j, p) + 1)
-        out[ok] = np.where((r > 0) & (r <= q), r, 0)
-        return out
+        if self.n and ok.any():
+            i, j = i[ok], j[ok]
+            zero = self.B.select(0, np.concatenate((i, i + 1)))
+            p = zero[: i.size] - i
+            nxt = zero[i.size :]
+            q = np.where(nxt > 0, nxt - (i + 1), self.n)  # no (i+1)-th zero: q = n
+            r = self.A.select(j, self.A.rank(j, p) + 1)
+            out[ok] = np.where((r > 0) & (r <= q), r, 0)
+        return (int(out[0]) or None) if scalar else out
 
     # -- pattern machinery --------------------------------------------------------
 
@@ -521,12 +520,12 @@ class EspIndex:
             # the inner (right) pair of a 3-group; then one for the outer rules
             tri = sizes == 3
             first = starts + tri
-            k = self.reverse_lookup_many(w[first], w[first + 1])
+            k = self.reverse_lookup(w[first], w[first + 1])
             if not k.all():
                 return None
             nxt = self.sigma + k
             if tri.any():
-                k = self.reverse_lookup_many(w[starts[tri]], nxt[tri])
+                k = self.reverse_lookup(w[starts[tri]], nxt[tri])
                 if not k.all():
                     return None
                 nxt[tri] = self.sigma + k
@@ -587,11 +586,11 @@ class EspIndex:
         lone = np.flatnonzero((ids[ks] != ids[ks - 1]) & (ids[ks] != ids[ks + 1]))
         if not lone.size:
             return None
-        pair = self.reverse_lookup_many(ids[:-1], ids[1:])  # pair[j]: (P[j], P[j+1])
+        pair = self.reverse_lookup(ids[:-1], ids[1:])  # pair[j]: (P[j], P[j+1])
         inner = pair[ks + 1]
         has = inner > 0
         outer = np.zeros(ks.size, dtype=np.int64)
-        outer[has] = self.reverse_lookup_many(ids[ks[has]], self.sigma + inner[has])
+        outer[has] = self.reverse_lookup(ids[ks[has]], self.sigma + inner[has])
         alts = np.stack((pair[ks - 1], pair[ks], outer))  # rule ordinals, 0: none
         count = np.count_nonzero(alts, axis=0)
         if not count.all():
@@ -954,6 +953,11 @@ class EspIndex:
             or np.any(lengths[rules] != lengths[left[rules]] + lengths[right[rules]])
         ):
             raise IndexLoadError("rule lengths do not add up to their children's")
+        # all rules with one left child are made in one round and numbered
+        # by (left, right), so with d1 monotone the keys (d1, d2) strictly
+        # increase; a repeated digram would make reverse lookups miss a rule
+        if np.any((d1[1:] == d1[:-1]) & (d2[1:] <= d2[:-1])):
+            raise IndexLoadError("rule digrams are not strictly increasing")
         if idx.symbol_length(root) != u:
             raise IndexLoadError("root length disagrees with text length")
         return idx

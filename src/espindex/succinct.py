@@ -8,16 +8,17 @@ Position conventions (used consistently by the whole package):
 * ``LargeAlphabetSequence.rank(c, i)`` counts ``c`` among the first ``i``
   symbols (``i`` may be 0); ``access``/``select`` are 1-based.
 
-``select`` past the last occurrence is a normal outcome (``None``), not an
-error: the reverse-dictionary simulation in the index depends on it.
+``select`` past the last occurrence is a normal outcome, not an error: the
+reverse-dictionary simulation in the index depends on it.
 
-Each rank and select also comes batched, as ``rank_many``/``select_many``:
-they take one-dimensional integer arrays (a sequence's symbol argument may be
-one symbol or an array of the same length) and return int64 arrays under the
-same conventions.  A batched select past the last occurrence gives 0, which
-is never a 1-based position.  An ordinal below 1 or a rank position out of
-range raises ``IndexError`` for the whole batch.  The scalar methods are
-batches of one.
+One method serves each rank and select, for one query or many.  The
+position, prefix or ordinal argument is an integer or a one-dimensional
+integer array; a sequence's symbol argument is one symbol or an array of the
+same length.  A scalar query runs as a batch of one and gives an int, or
+``None`` for a select past the last occurrence.  An array query gives an
+int64 array, with 0 for a select past the last occurrence (never a 1-based
+position).  An ordinal below 1 or a rank position out of range raises
+``IndexError`` for the whole batch.
 """
 
 from __future__ import annotations
@@ -139,17 +140,13 @@ class BitVector:
             raise IndexError(f"bit index {i} out of range [0, {self.length})")
         return int((int(self.words[i >> 6]) >> (i & 63)) & 1)
 
-    def rank(self, c: int, i: int) -> int:
-        """Occurrences of bit ``c`` in the inclusive prefix ``B[0..i]``."""
-        return int(self.rank_many(c, [i])[0])
-
-    def rank_many(self, c: int, positions) -> np.ndarray:
-        """Batched :meth:`rank`, one count per 0-based position."""
+    def rank(self, c: int, i):
+        """Occurrences of bit ``c`` in the inclusive prefix ``B[0..i]``; an
+        int for one position, an int64 array for an array of positions."""
         _check_bit(c)
-        end = np.asarray(positions, dtype=np.int64) + 1  # exclusive prefix end
-        if not end.size:
-            return end
-        if end.min() < 1 or end.max() > self.length:
+        pos = np.asarray(i, dtype=np.int64)
+        end = np.atleast_1d(pos) + 1  # exclusive prefix end
+        if end.size and (end.min() < 1 or end.max() > self.length):
             raise IndexError(f"rank position out of range [0, {self.length})")
         word = end >> 6
         block = word >> _BLOCK_SHIFT
@@ -160,23 +157,23 @@ class BitVector:
         ones = self._block_ones[block] + (inblock * before).sum(axis=1)
         mask = (np.uint64(1) << (end & 63).astype(np.uint64)) - np.uint64(1)
         ones += _popcount(self.words[np.minimum(word, self.words.size - 1)] & mask)
-        return ones if c == 1 else end - ones
+        out = ones if c == 1 else end - ones
+        return int(out[0]) if pos.ndim == 0 else out
 
-    def select(self, c: int, k: int) -> Optional[int]:
-        """1-based position of the k-th ``c``; ``None`` if fewer than k exist."""
-        return int(self.select_many(c, [k])[0]) or None
-
-    def select_many(self, c: int, ordinals) -> np.ndarray:
-        """Batched :meth:`select`: 1-based positions, 0 where fewer than k exist."""
+    def select(self, c: int, k):
+        """1-based position of the k-th ``c``.  For one ordinal an int, or
+        ``None`` if fewer than k exist; for an array of ordinals an int64
+        array, 0 where fewer than k exist."""
         _check_bit(c)
-        ks = np.asarray(ordinals, dtype=np.int64)
+        ordinal = np.asarray(k, dtype=np.int64)
+        ks = np.atleast_1d(ordinal)
         if ks.size and ks.min() < 1:
             raise IndexError("select ordinals must be >= 1")
         out = np.zeros(ks.shape, dtype=np.int64)
         found = ks <= (self.ones if c == 1 else self.zeros)
         k = ks[found]
         if not k.size:
-            return out
+            return None if ordinal.ndim == 0 else out
         dir_ = self._block_ones if c == 1 else self._block_zeros
         block = np.searchsorted(dir_, k, side="left") - 1
         rest = k - dir_[block]  # ordinal within the block
@@ -196,7 +193,7 @@ class BitVector:
         rest -= low[rows, b] - _popcount(byte)  # ordinal within the byte
         bit = _SELECT_IN_BYTE[byte.astype(np.intp), rest - 1]
         out[found] = ((((block << _BLOCK_SHIFT) + w) << 6) | (b << 3)) + bit + 1
-        return out
+        return int(out[0]) if ordinal.ndim == 0 else out  # a scalar here was found
 
     def to_array(self) -> np.ndarray:
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
@@ -275,12 +272,10 @@ class LargeAlphabetSequence:
         hi = np.where(valid, self._starts[np.where(valid, c, 0)], lo).astype(np.int64)
         return lo, hi
 
-    def rank(self, c: int, i: int) -> int:
-        """Occurrences of ``c`` among the first ``i`` symbols (``i`` in [0, n])."""
-        return int(self.rank_many(c, i))
-
-    def rank_many(self, symbols, prefixes) -> np.ndarray:
-        """Batched :meth:`rank`: a lower bound inside each symbol's slice."""
+    def rank(self, symbols, prefixes):
+        """Occurrences of each symbol among the first ``prefixes`` symbols
+        (a prefix in [0, n]): a lower bound inside the symbol's slice.  An
+        int when both are scalars, else an int64 array."""
         i = np.asarray(prefixes, dtype=np.int64)
         if i.size and (i.min() < 0 or i.max() > self.n):
             raise IndexError(f"rank prefix out of range [0, {self.n}]")
@@ -293,14 +288,13 @@ class LargeAlphabetSequence:
             less = (self._pos[np.minimum(mid, last)] < i) & (lo < hi)
             lo = np.where(less, mid + 1, lo)
             hi = np.where(less, hi, mid)
-        return lo - first
+        out = lo - first
+        return int(out) if out.ndim == 0 else out
 
-    def select(self, c: int, k: int) -> Optional[int]:
-        """1-based position of the k-th ``c``; ``None`` if fewer than k exist."""
-        return int(self.select_many(c, k)) or None
-
-    def select_many(self, symbols, ordinals) -> np.ndarray:
-        """Batched :meth:`select`: 1-based positions, 0 where fewer than k exist."""
+    def select(self, symbols, ordinals):
+        """1-based position of the k-th occurrence of each symbol, for k in
+        ``ordinals``.  When both are scalars an int, or ``None`` if fewer
+        than k exist; else an int64 array, 0 where fewer than k exist."""
         k = np.asarray(ordinals, dtype=np.int64)
         if k.size and k.min() < 1:
             raise IndexError("select ordinals must be >= 1")
@@ -310,7 +304,7 @@ class LargeAlphabetSequence:
         found = at < hi
         out = np.zeros(at.shape, dtype=np.int64)
         out[found] = self._pos[at[found]].astype(np.int64) + 1
-        return out
+        return (int(out) or None) if out.ndim == 0 else out
 
     def count(self, c: int) -> int:
         lo, hi = self._bounds(c)

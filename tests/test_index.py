@@ -26,7 +26,7 @@ from espindex.index import (
     unpack_ints,
 )
 from espindex.oracle import naive_reverse_dict, naive_search
-from espindex.succinct import BitVector
+from espindex.succinct import BitVector, LargeAlphabetSequence
 
 from conftest import fibonacci_text, near_duplicates, text_family
 
@@ -132,11 +132,32 @@ class TestReverseLookup:
             pairs += [(total, j) for j in range(1, min(total, 20) + 1)]
             pairs += [(0, 1), (1, 0), (total + 1, 1), (1, total + 1)]
             rng.shuffle(pairs)
-            got = idx.reverse_lookup_many([i for i, _ in pairs], [j for _, j in pairs])
+            got = idx.reverse_lookup([i for i, _ in pairs], [j for _, j in pairs])
             assert got.tolist() == [table.get(pair, 0) for pair in pairs]
+            # a pair alone is a batch of one: None where the batch gives 0
+            assert [idx.reverse_lookup(i, j) for i, j in pairs] == [k or None for k in got.tolist()]
         fx = fixture_index()
-        assert fx.reverse_lookup_many([1, 2, 3, 6, 6], [3, 3, 3, 1, 6]).tolist() == [2, 3, 0, 0, 0]
-        assert fx.reverse_lookup_many([], []).size == 0
+        assert fx.reverse_lookup([1, 2, 3, 6, 6], [3, 3, 3, 1, 6]).tolist() == [2, 3, 0, 0, 0]
+        assert fx.reverse_lookup([], []).size == 0
+
+    def test_locate_calls_the_plain_methods(self, monkeypatch):
+        # a per-layer trace wraps reverse_lookup, select and rank by name, so
+        # the query path must run through those names, not through a twin
+        calls = {}
+        for cls, name in ((EspIndex, "reverse_lookup"), (BitVector, "select"),
+                          (LargeAlphabetSequence, "rank"), (LargeAlphabetSequence, "select")):
+            key = f"{cls.__name__}.{name}"
+            calls[key] = 0
+
+            def counted(*args, _key=key, _method=cls.__dict__[name]):
+                calls[_key] += 1
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        t = near_duplicates(random.Random(8), 6000)
+        idx = encode(build_grammar(t))
+        assert 1001 in idx.locate(t[1000:1100])
+        assert all(calls.values()), calls
 
 
 class TestEvidence:
@@ -821,6 +842,27 @@ class TestSerialization:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
         )
         assert proc.returncode == 3
+
+    def test_duplicate_digram_is_refused(self, tmp_path):
+        # symbol 5's right child set from 2 to 1 repeats symbol 4's digram
+        # (1, 1); the lengths still add up, and such a file used to load and
+        # then miss occurrences of a pattern its own text contains
+        rng = random.Random(3)
+        t = b"".join(rng.choice([b"abcab", b"cabca", b"bbacb"]) for _ in range(120))
+        idx = encode(build_grammar(t))
+        assert idx.sigma == 3
+        assert idx._left[4:6].tolist() == [1, 1] and idx._right[4:6].tolist() == [1, 2]
+        right = idx._right.copy()
+        right[5] = 1
+        bad_idx = EspIndex(sigma=idx.sigma, n=idx.n, u=idx.u, root=idx.root,
+                           alphabet=idx.alphabet, left=idx._left, right=right)
+        pattern = b"cbbbacbabcabcaacabbacbca"
+        assert bad_idx.extract(9, len(pattern)) == pattern
+        bad = tmp_path / "dup.idx"
+        bad_idx.save(str(bad))  # with a valid checksum
+        with pytest.raises(IndexLoadError, match="digrams"):
+            EspIndex.load(str(bad))
+        assert cli.main(["locate", "-x", str(bad), "-q", pattern.decode()]) == 3
 
     def test_concurrent_readers_consistent(self, rng):
         # immutability smoke test: interleaved queries return stable answers

@@ -204,7 +204,8 @@ class TestLargeAlphabetSequence:
 
 
 class TestBatched:
-    """rank_many/select_many against np.flatnonzero and prefix-count oracles."""
+    """Array calls of rank and select against np.flatnonzero and prefix-count
+    oracles, and scalar calls (batches of one) against array calls."""
 
     @pytest.mark.parametrize("density", [0.02, 0.5, 0.97])
     def test_bit_vector_against_flatnonzero(self, density):
@@ -215,33 +216,38 @@ class TestBatched:
             where = np.flatnonzero(bits == c) + 1
             ks = rng.permutation(np.arange(1, where.size + 4))  # 3 past the end
             expect = np.where(ks <= where.size, where[np.minimum(ks, where.size) - 1], 0)
-            assert np.array_equal(bv.select_many(c, ks), expect)
-            assert bv.select_many(c, [where.size])[0] == where[-1]  # the last c
-            assert np.array_equal(bv.rank_many(c, np.arange(bits.size)),
+            assert np.array_equal(bv.select(c, ks), expect)
+            assert bv.select(c, [where.size])[0] == where[-1]  # the last c
+            assert np.array_equal(bv.rank(c, np.arange(bits.size)),
                                   np.cumsum(bits == c))
+            few = np.r_[ks[:100], where.size + 1]
+            assert [bv.select(c, int(k)) for k in few] == [int(p) or None for p in bv.select(c, few)]
+            assert [bv.rank(c, int(i)) for i in few - 1] == bv.rank(c, few - 1).tolist()
 
     def test_bit_vector_edges(self):
         bv = BitVector("0110101")
-        assert bv.select_many(0, []).size == 0 and bv.rank_many(1, []).size == 0
-        assert bv.select_many(0, [3, 4]).tolist() == [6, 0]  # last zero, then past it
+        assert bv.select(0, []).size == 0 and bv.rank(1, []).size == 0
+        assert bv.select(0, [3, 4]).tolist() == [6, 0]  # last zero, then past it
         with pytest.raises(IndexError):
-            bv.select_many(1, [1, 0])
+            bv.select(1, [1, 0])
         with pytest.raises(IndexError):
-            bv.rank_many(1, [0, 7])
+            bv.rank(1, [0, 7])
         with pytest.raises(ValueError):
-            bv.select_many(2, [1])
+            bv.select(2, [1])
         whole = BitVector(np.ones(2048, dtype=np.uint8))  # ends on a block boundary
-        assert whole.rank_many(1, [1023, 2047]).tolist() == [1024, 2048]
-        assert whole.select_many(1, [2048, 2049]).tolist() == [2048, 0]
+        assert whole.rank(1, [1023, 2047]).tolist() == [1024, 2048]
+        assert whole.select(1, [2048, 2049]).tolist() == [2048, 0]
 
     def test_empty_bit_vector_of_rule_less_grammar(self):
         bv = encode(build_grammar(b"z")).B
         assert bv.length == 0
-        assert bv.select_many(0, [1, 2]).tolist() == [0, 0]
-        assert bv.select_many(1, [1]).tolist() == [0]
-        assert bv.rank_many(0, []).size == 0
-        with pytest.raises(IndexError):
-            bv.rank_many(0, [0])
+        assert bv.select(0, [1, 2]).tolist() == [0, 0]
+        assert bv.select(0, 1) is None
+        assert bv.select(1, [1]).tolist() == [0]
+        assert bv.rank(0, []).size == 0
+        for bad in (0, [0]):
+            with pytest.raises(IndexError):
+                bv.rank(0, bad)
 
     def test_sequence_against_flatnonzero(self):
         rng = np.random.default_rng(5)
@@ -252,26 +258,35 @@ class TestBatched:
         prefixes = rng.integers(0, n + 1, cs.size)
         prefixes[:2] = (0, n)
         expect_rank = [np.count_nonzero(vals[:i] == c) for c, i in zip(cs, prefixes)]
-        assert seq.rank_many(cs, prefixes).tolist() == expect_rank
+        assert seq.rank(cs, prefixes).tolist() == expect_rank
         where = {c: np.flatnonzero(vals == c) + 1 for c in range(-1, bound + 3)}
         ks = rng.integers(1, 40, cs.size)
         expect_sel = [int(where[c][k - 1]) if k <= where[c].size else 0
                       for c, k in zip(cs, ks)]
-        assert seq.select_many(cs, ks).tolist() == expect_sel
+        assert seq.select(cs, ks).tolist() == expect_sel
         c = int(vals[0])  # one symbol for the whole batch
-        assert seq.select_many(c, np.arange(1, where[c].size + 2)).tolist() == \
+        assert seq.select(c, np.arange(1, where[c].size + 2)).tolist() == \
             where[c].tolist() + [0]
-        assert seq.rank_many(c, np.arange(n + 1)).tolist() == \
+        assert seq.rank(c, np.arange(n + 1)).tolist() == \
             np.concatenate(([0], np.cumsum(vals == c))).tolist()
+        few = slice(0, 300)  # absent, out-of-range and past-the-end cases included
+        assert [seq.rank(int(c), int(i)) for c, i in zip(cs[few], prefixes[few])] == \
+            expect_rank[few]
+        assert [seq.select(int(c), int(k)) for c, k in zip(cs[few], ks[few])] == \
+            [p or None for p in expect_sel[few]]
 
     def test_sequence_edges(self):
         seq = LargeAlphabetSequence([2, 3, 3, 1])
-        assert seq.select_many([3, 3, 3], [1, 2, 3]).tolist() == [2, 3, 0]
-        assert seq.rank_many([], []).size == 0
-        with pytest.raises(IndexError):
-            seq.rank_many([3], [5])
-        with pytest.raises(IndexError):
-            seq.select_many([3], [0])
+        assert seq.select([3, 3, 3], [1, 2, 3]).tolist() == [2, 3, 0]
+        assert seq.rank([], []).size == 0
+        assert type(seq.rank(3, 4)) is int and type(seq.select(3, 2)) is int
+        for prefix in (-1, 5):
+            for bad in ((3, prefix), ([3], [prefix])):
+                with pytest.raises(IndexError):
+                    seq.rank(*bad)
+        for bad in ((3, 0), ([3], [0])):
+            with pytest.raises(IndexError):
+                seq.select(*bad)
         empty = LargeAlphabetSequence([])
-        assert empty.select_many([1], [1]).tolist() == [0]
-        assert empty.rank_many([1], [0]).tolist() == [0]
+        assert empty.select([1], [1]).tolist() == [0] and empty.select(1, 1) is None
+        assert empty.rank([1], [0]).tolist() == [0] and empty.rank(1, 0) == 0
