@@ -6,10 +6,15 @@ gap-unary bit vector ``B``; the right-child array as a rank/select sequence
 when an index is built or loaded, one round of rules at a time.  The
 digram-to-rule map that existed at build time is simulated at query time:
 
-    p = select_0(B, i) - i
-    q = select_0(B, i + 1) - (i + 1)        (q = n when that zero is absent)
+    p = #{k : d1(k) < i}                    (= select_0(B, i) - i)
+    q = #{k : d1(k) <= i}                   (= select_0(B, i + 1) - (i + 1),
+                                             or n when that zero is absent)
     r = select_j(A, rank_j(A, p) + 1)
     rule = r  if r <= q  else  none
+
+Rules p+1..q are those with left child i.  ``p`` and ``q`` come from one
+``searchsorted`` each on the decoded left-child column that the index
+keeps resident; ``B`` stays the file's encoding of that column.
 
 Positions exposed by this module are 1-based throughout; the CLI converts to
 0-based at its boundary.
@@ -462,17 +467,13 @@ class EspIndex:
         j = np.asarray(rights, dtype=np.int64)
         scalar = i.ndim == 0 and j.ndim == 0
         i, j = np.atleast_1d(i, j)
-        out = np.zeros(i.shape, dtype=np.int64)
-        total = self.sigma + self.n
-        ok = (i >= 1) & (i <= total) & (j >= 1) & (j <= total)
-        if self.n and ok.any():
-            i, j = i[ok], j[ok]
-            zero = self.B.select(0, np.concatenate((i, i + 1)))
-            p = zero[: i.size] - i
-            nxt = zero[i.size :]
-            q = np.where(nxt > 0, nxt - (i + 1), self.n)  # no (i+1)-th zero: q = n
-            r = self.A.select(j, self.A.rank(j, p) + 1)
-            out[ok] = np.where((r > 0) & (r <= q), r, 0)
+        # ids out of range need no mask: a left child below 1 or above
+        # sigma + n gives p = q, and a right child out of range is not in A
+        d1 = self._left[self.sigma + 1 :]
+        p = np.searchsorted(d1, i)  # rules p+1..q have left child i
+        q = np.searchsorted(d1, i, side="right")
+        r = self.A.select(j, self.A.rank(j, p) + 1)
+        out = np.where(r <= q, r, 0)  # r = 0 where absent
         return (int(out[0]) or None) if scalar else out
 
     # -- pattern machinery --------------------------------------------------------
@@ -823,7 +824,7 @@ class EspIndex:
             "lengths": [self._lengths],
             "level_of": [self.level_of],
             "B": [self.B.words, self.B._block_ones, self.B._block_zeros],
-            "A": [self.A.values, self.A._pos, self.A._starts],
+            "A": [self.A.values, self.A._keys],
         }
         seen = set()
         out = {}

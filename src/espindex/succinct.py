@@ -6,7 +6,9 @@ Position conventions (used consistently by the whole package):
   ``B[0..i]``.
 * ``BitVector.select(c, k)`` returns the 1-based position of the k-th ``c``.
 * ``LargeAlphabetSequence.rank(c, i)`` counts ``c`` among the first ``i``
-  symbols (``i`` may be 0); ``access``/``select`` are 1-based.
+  symbols (``i`` may be 0); ``access``/``select`` are 1-based.  Its rank and
+  select are one ``searchsorted`` each on a sorted array of
+  ``(symbol << shift) | position`` keys (rank takes the difference of two).
 
 ``select`` past the last occurrence is a normal outcome, not an error: the
 reverse-dictionary simulation in the index depends on it.
@@ -23,7 +25,7 @@ position).  An ordinal below 1 or a rank position out of range raises
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -207,29 +209,25 @@ class BitVector:
         return aux / self.length
 
 
-def _fit_dtype(top: int):
-    if top < 1 << 8:
-        return np.uint8
-    if top < 1 << 16:
-        return np.uint16
-    if top < 1 << 32:
-        return np.uint32
-    return np.int64
-
-
 class LargeAlphabetSequence:
     """access/rank/select over an integer sequence with symbols in ``[1, bound]``.
 
-    Backed by the symbol array plus a position index in CSR form: occurrence
-    positions sorted by (symbol, position), with per-symbol offsets.  access
-    and select are O(1); rank is a binary search within one symbol's
-    occurrence list.  The symbol array is the caller's, not a copy, when it
-    is already an int64 array (the index passes a view of its right-child
-    column); the position index stays within a small constant of
-    ``n * lg(bound)`` bits.
+    Backed by the symbol array plus one sorted key array: ``_keys`` holds
+    ``(symbol << shift) | position`` for every 0-based position, with
+    ``shift = n.bit_length()``, so the keys group the positions by symbol,
+    ascending within each group.  A probe ``(c, i)`` fits for any prefix
+    ``i`` in ``[0, n]`` and any ``c`` up to ``bound + 1``, the symbol that
+    stands in for one out of range.  rank is the distance between the ``searchsorted``
+    of ``(c, i)`` and of ``(c, 0)``; select is one ``searchsorted`` of
+    ``(c, 0)`` plus a gather and a symbol check; access reads the symbol
+    array.  The keys are uint32 when ``(bound + 1).bit_length() + shift``
+    is at most 32 bits and uint64 otherwise, and every probe is built in
+    that dtype, so no call converts the key array.  The symbol array is the
+    caller's, not a copy, when it is already an int64 array (the index
+    passes a view of its right-child column).
     """
 
-    __slots__ = ("values", "n", "bound", "_pos", "_starts")
+    __slots__ = ("values", "n", "bound", "_shift", "_span", "_past", "_keys")
 
     def __init__(self, values: Union[np.ndarray, Iterable[int]], bound: Optional[int] = None):
         vals = np.asarray(values, dtype=np.int64)
@@ -243,17 +241,16 @@ class LargeAlphabetSequence:
         if top > self.bound:
             raise ValueError(f"symbol {top} exceeds alphabet bound {self.bound}")
         self.values = vals
-        # one sort of (symbol, position) packed into a word groups the
-        # positions by symbol, ascending within each group
         shift = self.n.bit_length()
-        if self.bound.bit_length() + shift > 64:
+        bits = (self.bound + 1).bit_length() + shift
+        if bits > 64:
             raise ValueError(f"{self.n} positions and symbols up to {self.bound} exceed 64 bits")
-        keys = (vals.astype(np.uint64) << np.uint64(shift)) | np.arange(self.n, dtype=np.uint64)
-        keys.sort()
-        self._pos = (keys & np.uint64((1 << shift) - 1)).astype(_fit_dtype(self.n))
-        # _starts[c - 1]: occurrences of symbols below c, for c in 1..bound+1
-        self._starts = np.zeros(self.bound + 1, dtype=_fit_dtype(self.n))
-        np.cumsum(np.bincount(vals, minlength=self.bound + 1)[1:], out=self._starts[1:])
+        dtype = np.uint32 if bits <= 32 else np.uint64
+        self._shift = dtype(shift)
+        self._span = dtype(1 << shift)  # one symbol's range of keys
+        self._past = np.uint64(self.bound + 1)
+        self._keys = (vals.astype(dtype) << self._shift) | np.arange(self.n, dtype=dtype)
+        self._keys.sort()
 
     def __len__(self) -> int:
         return self.n
@@ -264,31 +261,23 @@ class LargeAlphabetSequence:
             raise IndexError(f"access position {i} out of range [1, {self.n}]")
         return int(self.values[i - 1])
 
-    def _bounds(self, symbols) -> Tuple[np.ndarray, np.ndarray]:
-        """Each symbol's slice ``[lo, hi)`` of ``_pos``; empty when out of range."""
-        c = np.asarray(symbols, dtype=np.int64)
-        valid = (c >= 1) & (c <= self.bound)
-        lo = self._starts[np.where(valid, c - 1, 0)].astype(np.int64)
-        hi = np.where(valid, self._starts[np.where(valid, c, 0)], lo).astype(np.int64)
-        return lo, hi
+    def _heads(self, symbols) -> np.ndarray:
+        """Probe keys ``(c, 0)`` in the keys' dtype.  A symbol outside
+        ``[1, bound]`` is probed as 0 or as ``bound + 1``, which no key
+        carries (a negative one wraps past the bound as unsigned)."""
+        c = np.asarray(symbols, dtype=np.int64).view(np.uint64)
+        return np.minimum(c, self._past).astype(self._keys.dtype, copy=False) << self._shift
 
     def rank(self, symbols, prefixes):
         """Occurrences of each symbol among the first ``prefixes`` symbols
-        (a prefix in [0, n]): a lower bound inside the symbol's slice.  An
-        int when both are scalars, else an int64 array."""
+        (a prefix in [0, n]).  An int when both are scalars, else an int64
+        array."""
         i = np.asarray(prefixes, dtype=np.int64)
-        if i.size and (i.min() < 0 or i.max() > self.n):
+        if i.size and i.view(np.uint64).max() > self.n:  # a negative one wraps past n
             raise IndexError(f"rank prefix out of range [0, {self.n}]")
-        first, hi = self._bounds(symbols)
-        first, hi, i = np.broadcast_arrays(first, hi, i)
-        lo = first
-        last = max(self._pos.size - 1, 0)
-        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-            mid = (lo + hi) >> 1
-            less = (self._pos[np.minimum(mid, last)] < i) & (lo < hi)
-            lo = np.where(less, mid + 1, lo)
-            hi = np.where(less, hi, mid)
-        out = lo - first
+        head = self._heads(symbols)
+        at = np.searchsorted(self._keys, head | i.astype(head.dtype))
+        out = at - np.searchsorted(self._keys, head)
         return int(out) if out.ndim == 0 else out
 
     def select(self, symbols, ordinals):
@@ -298,14 +287,15 @@ class LargeAlphabetSequence:
         k = np.asarray(ordinals, dtype=np.int64)
         if k.size and k.min() < 1:
             raise IndexError("select ordinals must be >= 1")
-        lo, hi = self._bounds(symbols)
-        lo, hi, k = np.broadcast_arrays(lo, hi, k)
-        at = lo + k - 1
-        found = at < hi
-        out = np.zeros(at.shape, dtype=np.int64)
-        out[found] = self._pos[at[found]].astype(np.int64) + 1
+        head = self._heads(symbols)
+        at = np.searchsorted(self._keys, head) + (k - 1)
+        # the key k - 1 places past the symbol's head is its k-th occurrence
+        # if it carries the symbol: then its xor with the head, its position,
+        # is below one span
+        pos = self._keys[np.minimum(at, self.n - 1)] ^ head if self.n else head
+        found = (at < self.n) & (pos < self._span)
+        out = np.where(found, pos.astype(np.int64) + 1, 0)
         return (int(out) or None) if out.ndim == 0 else out
 
     def count(self, c: int) -> int:
-        lo, hi = self._bounds(c)
-        return int(hi - lo)
+        return self.rank(c, self.n)

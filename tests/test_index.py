@@ -51,6 +51,22 @@ def templated_lines(rng: random.Random, count: int) -> bytes:
     )
 
 
+def assert_left_ranges_match_bit_vector(idx: EspIndex) -> None:
+    """For every symbol id i, the rules with left child i are p+1..q, where
+    reverse_lookup takes p and q by searchsorted on the decoded d1 and the
+    paper takes them by select_0 on B: p = select_0(B, i) - i and q the same
+    at i + 1, with n where that zero is absent."""
+    ids = np.arange(1, idx.sigma + idx.n + 2)
+    d1 = idx._left[idx.sigma + 1 :]
+
+    def via_bit_vector(k):
+        zero = idx.B.select(0, k)
+        return np.where(zero > 0, zero - k, idx.n)
+
+    assert np.array_equal(np.searchsorted(d1, ids), via_bit_vector(ids))
+    assert np.array_equal(np.searchsorted(d1, ids, side="right"), via_bit_vector(ids + 1))
+
+
 def is_lifted(ev) -> bool:
     """Whether the evidence's core was lifted from a raw terminal to level 1."""
     return ev is not None and ev.core[0][0] != ev.runs[ev.core_index][0]
@@ -130,22 +146,31 @@ class TestReverseLookup:
                 pairs.append((rng.randrange(1, total + 1), rng.randrange(1, total + 1)))
             # i = sigma+n has no (i+1)-th zero in B; ids out of range are absent
             pairs += [(total, j) for j in range(1, min(total, 20) + 1)]
-            pairs += [(0, 1), (1, 0), (total + 1, 1), (1, total + 1)]
+            edges = [0, 1, g.sigma, g.sigma + 1, total, total + 1]
+            pairs += [(i, j) for i in edges for j in edges]
+            pairs += [(e, rng.randrange(1, total + 1)) for e in edges]
+            pairs += [(rng.randrange(1, total + 1), e) for e in edges]
             rng.shuffle(pairs)
             got = idx.reverse_lookup([i for i, _ in pairs], [j for _, j in pairs])
             assert got.tolist() == [table.get(pair, 0) for pair in pairs]
             # a pair alone is a batch of one: None where the batch gives 0
             assert [idx.reverse_lookup(i, j) for i, j in pairs] == [k or None for k in got.tolist()]
+            assert_left_ranges_match_bit_vector(idx)
         fx = fixture_index()
         assert fx.reverse_lookup([1, 2, 3, 6, 6], [3, 3, 3, 1, 6]).tolist() == [2, 3, 0, 0, 0]
         assert fx.reverse_lookup([], []).size == 0
+        assert_left_ranges_match_bit_vector(fx)
+        bare = encode(build_grammar(b"z"))  # no rules: B and A are empty
+        assert_left_ranges_match_bit_vector(bare)
+        assert bare.reverse_lookup([0, 1, 1, 2], [1, 0, 1, 1]).tolist() == [0, 0, 0, 0]
 
     def test_locate_calls_the_plain_methods(self, monkeypatch):
         # a per-layer trace wraps reverse_lookup, select and rank by name, so
-        # the query path must run through those names, not through a twin
+        # the query path must run through those names, not through a twin;
+        # the rule range of a left child comes from d1, not from B
         calls = {}
-        for cls, name in ((EspIndex, "reverse_lookup"), (BitVector, "select"),
-                          (LargeAlphabetSequence, "rank"), (LargeAlphabetSequence, "select")):
+        for cls, name in ((EspIndex, "reverse_lookup"), (LargeAlphabetSequence, "rank"),
+                          (LargeAlphabetSequence, "select")):
             key = f"{cls.__name__}.{name}"
             calls[key] = 0
 
@@ -154,6 +179,12 @@ class TestReverseLookup:
                 return _method(*args)
 
             monkeypatch.setattr(cls, name, counted)
+
+        def refused(*args):
+            raise AssertionError("the query path selects or ranks on B")
+
+        for name in ("rank", "select"):
+            monkeypatch.setattr(BitVector, name, refused)
         t = near_duplicates(random.Random(8), 6000)
         idx = encode(build_grammar(t))
         assert 1001 in idx.locate(t[1000:1100])
@@ -680,6 +711,16 @@ class TestSerialization:
             r1, r2 = random.Random(42), random.Random(42)
             assert self.query_battery(idx, r1, t) == self.query_battery(idx2, r2, t)
             assert idx2.extract(1, idx2.u) == t
+
+    def test_reserialize_is_byte_identical(self, rng):
+        # the file holds only B and A's symbols: a loaded index, whatever
+        # directories it builds for queries, writes back the bytes it read
+        for t in (near_duplicates(random.Random(5), 20000), templated_lines(rng, 300), b"z"):
+            first = io.BytesIO()
+            encode(build_grammar(t)).serialize(first)
+            again = io.BytesIO()
+            EspIndex.deserialize(first.getvalue()).serialize(again)
+            assert again.getvalue() == first.getvalue()
 
     def test_bad_magic(self):
         idx = encode(build_grammar(b"abcabc"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from espindex import build_grammar, encode
-from espindex.succinct import BitVector, LargeAlphabetSequence, _fit_dtype
+from espindex.succinct import BitVector, LargeAlphabetSequence
 
 
 class TestBitVector:
@@ -168,22 +168,42 @@ class TestLargeAlphabetSequence:
 
     @pytest.mark.parametrize("n, symbols, bound", [
         (5000, range(1, 301), 300),
-        (70000, range(1, 4), 3),  # positions need 32 bits
+        (70000, range(1, 4), 3),  # positions need 17 bits
         (0, range(1, 2), 0),
         (0, range(1, 2), 7),
         (1, range(1, 2), 1),
         (300, range(1, 2), 1),  # one symbol throughout
         (4000, range(2, 600, 3), 600),  # absent symbols
         (2000, range(1, 51), 90_000),  # bound far above the largest symbol
+        (40_000, range(1, 40_005), 40_004),  # the index's shape: bound = sigma + n
+        (70_000, range(1, 70_257), 70_256),  # ... with 64-bit keys
+        (1023, (1, 2, 3, 2**21 - 1), 2**21 - 1),  # key bits exactly 32
+        (1023, (1, 2, 3, 2**22 - 1), 2**22 - 1),  # 33: bound + 1 needs one more bit
     ])
     def test_position_index_matches_argsort(self, n, symbols, bound):
         vals = np.random.default_rng(n + bound).choice(np.array(symbols), n)
         seq = LargeAlphabetSequence(vals, bound=bound)
+        keys = seq._keys
+        shift = n.bit_length()
+        bits = (bound + 1).bit_length() + shift
+        assert keys.dtype == (np.uint32 if bits <= 32 else np.uint64)
+        assert keys.size == n and np.all(keys[1:] > keys[:-1])
         order = np.argsort(vals, kind="stable")
-        pos = order.astype(_fit_dtype(n))
-        starts = np.searchsorted(vals[order], np.arange(1, bound + 2)).astype(_fit_dtype(n))
-        assert seq._pos.dtype == pos.dtype and np.array_equal(seq._pos, pos)
-        assert seq._starts.dtype == starts.dtype and np.array_equal(seq._starts, starts)
+        assert np.array_equal(keys >> keys.dtype.type(shift), vals[order])
+        assert np.array_equal(keys & keys.dtype.type((1 << shift) - 1), order)
+        # symbol c's keys are the slice [starts[c-1], starts[c]) of the CSR
+        # position index that the keys replace
+        starts = np.searchsorted(vals[order], np.arange(1, bound + 2))
+        cs = np.arange(1, bound + 1) if bound <= 100_000 else np.unique(vals)
+        firsts = np.searchsorted(keys, cs.astype(keys.dtype) << keys.dtype.type(shift))
+        assert np.array_equal(firsts, starts[cs - 1])
+        few = cs[:300]
+        assert [seq.count(int(c)) for c in few] == (starts[few] - starts[few - 1]).tolist()
+        if bound >= n >= 256:
+            # positions and starts took 2 or 4 bytes each, one per position
+            # and one per symbol in [1, bound + 1]
+            width = 2 if n < 1 << 16 else 4
+            assert keys.nbytes <= width * (n + bound + 1)
 
     def test_position_keys_must_fit_a_word(self):
         with pytest.raises(ValueError):
@@ -196,7 +216,7 @@ class TestLargeAlphabetSequence:
         seq = LargeAlphabetSequence([rng.randrange(1, bound + 1) for _ in range(n)],
                                     bound=bound)
         target = n * max(bound.bit_length(), 1)
-        actual = (seq.values.nbytes + seq._pos.nbytes + seq._starts.nbytes) * 8
+        actual = (seq.values.nbytes + seq._keys.nbytes) * 8
         with capsys.disabled():
             print(f"\n  [REPORT] sequence bits: {actual} "
                   f"(target n*lg(bound) = {target}, x{actual / target:.1f})")
@@ -250,16 +270,22 @@ class TestBatched:
                 bv.rank(0, bad)
 
     def test_sequence_against_flatnonzero(self):
+        self.check_sequence_against_flatnonzero(5000, 300, np.uint32)
+        self.check_sequence_against_flatnonzero(5000, 2**20, np.uint64)  # 21 + 13 key bits
+
+    def check_sequence_against_flatnonzero(self, n, bound, key_dtype):
         rng = np.random.default_rng(5)
-        n, bound = 5000, 300
-        vals = rng.integers(1, bound - 20, n)  # the top symbols never occur
+        top = min(bound, 300)
+        vals = rng.integers(1, top - 20, n)  # the top symbols never occur
         seq = LargeAlphabetSequence(vals, bound=bound)
-        cs = rng.integers(-1, bound + 3, 4000)  # includes 0 and symbols past the bound
+        assert seq._keys.dtype == key_dtype
+        cs = rng.integers(-1, top + 3, 4000)  # includes 0 and symbols past the top
+        cs[2:5] = (bound, bound + 1, bound + 2)
         prefixes = rng.integers(0, n + 1, cs.size)
         prefixes[:2] = (0, n)
         expect_rank = [np.count_nonzero(vals[:i] == c) for c, i in zip(cs, prefixes)]
         assert seq.rank(cs, prefixes).tolist() == expect_rank
-        where = {c: np.flatnonzero(vals == c) + 1 for c in range(-1, bound + 3)}
+        where = {c: np.flatnonzero(vals == c) + 1 for c in {*cs.tolist(), int(vals[0])}}
         ks = rng.integers(1, 40, cs.size)
         expect_sel = [int(where[c][k - 1]) if k <= where[c].size else 0
                       for c, k in zip(cs, ks)]
