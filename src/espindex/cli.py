@@ -128,7 +128,7 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _emit_query(pid: str, pattern: bytes, cnt: int, pos0: Optional[List[int]],
+def _emit_query(pid: str, cnt: int, pos0: Optional[List[int]],
                 micros: float, fmt: str, out: List[dict]) -> None:
     if fmt == "json":
         row = {"id": pid, "count": cnt, "micros": round(micros, 1)}
@@ -161,7 +161,7 @@ def _cmd_query(args, want_positions: bool) -> int:
         hits = index.locate(pat)
         micros = (time.perf_counter() - t0) * 1e6
         pos0 = [h - 1 for h in hits] if want_positions else None
-        _emit_query(pid, pat, len(hits), pos0, micros, args.format, rows)
+        _emit_query(pid, len(hits), pos0, micros, args.format, rows)
     if args.format == "json":
         json.dump(rows, sys.stdout, indent=0)
         print()

@@ -19,7 +19,7 @@ consistently regardless of context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -217,8 +217,6 @@ def alphabet_reduction(block, alphabet_bound: Optional[int] = None) -> np.ndarra
 @dataclass
 class LevelPlan:
     m: int
-    threshold: int
-    alphabet_bound: int
     starts: np.ndarray  # group start positions
     sizes: np.ndarray  # 2 or 3
     ukind: np.ndarray  # merged block (unit) kinds
@@ -226,9 +224,8 @@ class LevelPlan:
     uend: np.ndarray
     uglo: np.ndarray  # unit -> first group index
     ughi: np.ndarray  # unit -> one past last group index
-    t2info: Dict[int, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    # unit index -> (landmark positions, per-group anchors), absolute in s;
-    # anchor -1 marks groups no landmark owns
+    landmarks: np.ndarray  # sorted landmark positions of all type2 units of length >= 4
+    anchors: np.ndarray  # group -> the landmark it was cut for; -1 where none owns it
 
 
 def _merge_units(kinds, bs, be, m):
@@ -251,6 +248,8 @@ def plan_level(s, threshold: Optional[int] = None, alphabet_bound: Optional[int]
     the last group taking an odd tail.  Type2 blocks of length >= 4 are
     relabelled together in one pass over the string and cut one symbol
     before each landmark; a group is anchored at the landmark it was cut for.
+    The plan holds the landmarks and each group's anchor as two columns;
+    groups outside type2 blocks of length >= 4 have anchor -1.
     """
     arr = _as_symbols(s)
     m = arr.size
@@ -290,16 +289,8 @@ def plan_level(s, threshold: Optional[int] = None, alphabet_bound: Optional[int]
     uglo = np.searchsorted(starts, ustart)
     ughi = np.concatenate((uglo[1:], [starts.size]))
 
-    units = big.nonzero()[0]
-    lo, hi = np.searchsorted(lms, ustart[units]), np.searchsorted(lms, uend[units])
-    ganchor = anchor[starts]
-    t2info = {u: (lms[l0:l1], ganchor[g0:g1]) for u, l0, l1, g0, g1 in zip(
-        units.tolist(), lo.tolist(), hi.tolist(), uglo[units].tolist(), ughi[units].tolist())}
-
     return LevelPlan(
         m=m,
-        threshold=thr,
-        alphabet_bound=bound,
         starts=starts,
         sizes=sizes,
         ukind=ukind,
@@ -307,7 +298,8 @@ def plan_level(s, threshold: Optional[int] = None, alphabet_bound: Optional[int]
         uend=uend,
         uglo=uglo,
         ughi=ughi,
-        t2info=t2info,
+        landmarks=lms,
+        anchors=anchor[starts],
     )
 
 

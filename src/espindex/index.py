@@ -333,31 +333,23 @@ _RIGHT_ANCHOR_MARGIN = 8
 
 def _stable_group_range(plan: "esp.LevelPlan", label_rounds: int) -> Tuple[int, int]:
     """Group index range [lo, hi) whose tiling cannot depend on symbols
-    outside the parsed window.  lo >= hi means nothing is stable."""
+    outside the parsed window.  lo >= hi means nothing is stable.
+
+    Only anchored groups can be stable at an edge.  Groups outside type2
+    units of length >= 4 have anchor -1, so each edge reads the anchors of
+    its unit without a kind test.
+    """
     nunits = plan.ukind.size
     last = nunits - 1
 
-    lo = int(plan.ughi[0])
-    if plan.ukind[0] == esp.TYPE2 and 0 in plan.t2info:
-        _, anchors = plan.t2info[0]
-        need = label_rounds + _LEFT_MARGIN_EXTRA
-        base = int(plan.uglo[0])
-        for gi in range(base, int(plan.ughi[0])):
-            if int(anchors[gi - base]) >= need:
-                lo = gi
-                break
+    g0, g1 = int(plan.uglo[0]), int(plan.ughi[0])
+    ok = np.flatnonzero(plan.anchors[g0:g1] >= label_rounds + _LEFT_MARGIN_EXTRA)
+    lo = g0 + int(ok[0]) if ok.size else g1
 
-    hi = int(plan.uglo[last])
-    if plan.ukind[last] == esp.TYPE2 and last in plan.t2info:
-        _, anchors = plan.t2info[last]
-        ustart = int(plan.ustart[last])
-        ulen = plan.m - ustart
-        base = int(plan.uglo[last])
-        for gi in range(int(plan.ughi[last]) - 1, base - 1, -1):
-            a = int(anchors[gi - base])
-            if a >= 0 and (a - ustart) <= ulen - _RIGHT_ANCHOR_MARGIN:
-                hi = gi + 1
-                break
+    g0, g1 = int(plan.uglo[last]), int(plan.ughi[last])
+    anchors = plan.anchors[g0:g1]
+    ok = np.flatnonzero((anchors >= 0) & (anchors <= plan.m - _RIGHT_ANCHOR_MARGIN))
+    hi = g0 + int(ok[-1]) + 1 if ok.size else g0
     # a 2-long run-free stretch at the window's right edge may collapse to a
     # lone symbol in context (its last symbol can join a run seen only with
     # more text) and then merge into the unit before it: that unit is

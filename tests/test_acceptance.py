@@ -148,10 +148,12 @@ def test_criterion_4_structural_bounds():
                 plan = plan_level(
                     a, g.level_threshold(lv), g.level_alphabet_bound(lv)
                 )
-                for ui, (lms, _) in plan.t2info.items():
-                    gaps = np.diff(lms)
-                    assert set(gaps.tolist()) <= {2, 3}
-                    gap_checks += lms.size
+                lms = plan.landmarks
+                # consecutive landmarks of one unit are 2 or 3 apart
+                unit = np.searchsorted(plan.ustart, lms, side="right")
+                inside = unit[1:] == unit[:-1]
+                assert set(np.diff(lms)[inside].tolist()) <= {2, 3}
+                gap_checks += lms.size
         assert gap_checks > 1000
         print(f"  {gap_checks} landmark gaps checked")
 

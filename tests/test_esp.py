@@ -19,6 +19,7 @@ from espindex.esp import (
     parse_level,
     plan_level,
 )
+from espindex.index import _LEFT_MARGIN_EXTRA, _RIGHT_ANCHOR_MARGIN, _stable_group_range
 
 from conftest import text_family
 
@@ -129,8 +130,9 @@ def _type2_groups(m: int, lms: np.ndarray) -> Tuple[List[int], List[int], List[i
 
 
 def reference_plan(arr, threshold, alphabet_bound):
-    """plan_level's starts, sizes, uglo, ughi and t2info, assembled unit by
-    unit from the references above."""
+    """plan_level's starts, sizes, uglo and ughi, and a dict from each type2
+    unit of length >= 4 to its (landmarks, anchors), assembled unit by unit
+    from the references above."""
     kinds, bs, be = esp._factorize_arrays(arr, threshold)
     ukind, ustart, uend = esp._merge_units(kinds, bs, be, arr.size)
     starts, sizes, uglo, ughi, t2info = [], [], [], [], {}
@@ -165,6 +167,64 @@ def multi_block(rng):
         s += block + [run] * rng.randrange(2, 4)
         blocks.append(block)
     return np.int64(s[: rng.randrange(len(s) - 2, len(s) + 1)]), hi, blocks
+
+
+def plan_windows(rng):
+    """(string, threshold, alphabet bound) cases for plan_level: 400
+    multi-block strings, then windows of level strings as pattern_evidence
+    parses them.  Also returns every run-free block with its bound."""
+    cases, blocks = [], []
+    for _ in range(400):
+        s, hi, bs = multi_block(rng)
+        cases.append((s, log_star(s.size), hi))
+        blocks += [(b, hi) for b in bs]
+    for trial in range(36):
+        levels = []
+        g = build_grammar(text_family(rng, trial, rng.randrange(200, 4000)),
+                          record_levels=levels)
+        for lv, a in enumerate(levels[:-1], start=1):
+            for _ in range(4):
+                i = rng.randrange(0, a.size - 1)
+                j = rng.randrange(i + 2, min(a.size, i + 400) + 1)
+                cases.append((a[i:j], g.level_threshold(lv), g.level_alphabet_bound(lv)))
+    return cases, blocks
+
+
+def stable_group_range_reference(plan, t2info, label_rounds):
+    """Reference for _stable_group_range: a loop over the groups of each edge
+    unit, reading the anchors from reference_plan's per-unit dict."""
+    nunits = plan.ukind.size
+    last = nunits - 1
+
+    lo = int(plan.ughi[0])
+    if plan.ukind[0] == TYPE2 and 0 in t2info:
+        _, anchors = t2info[0]
+        need = label_rounds + _LEFT_MARGIN_EXTRA
+        base = int(plan.uglo[0])
+        for gi in range(base, int(plan.ughi[0])):
+            if int(anchors[gi - base]) >= need:
+                lo = gi
+                break
+
+    hi = int(plan.uglo[last])
+    if plan.ukind[last] == TYPE2 and last in t2info:
+        _, anchors = t2info[last]
+        ustart = int(plan.ustart[last])
+        ulen = plan.m - ustart
+        base = int(plan.uglo[last])
+        for gi in range(int(plan.ughi[last]) - 1, base - 1, -1):
+            a = int(anchors[gi - base])
+            if a >= 0 and (a - ustart) <= ulen - _RIGHT_ANCHOR_MARGIN:
+                hi = gi + 1
+                break
+    if (
+        nunits >= 2
+        and plan.ukind[last] != TYPE1
+        and plan.m - int(plan.ustart[last]) == 2
+    ):
+        hi = min(hi, int(plan.uglo[last - 1]))
+
+    return lo, hi
 
 
 class TestLogStar:
@@ -250,23 +310,10 @@ class TestAlphabetReduction:
             assert set(np.diff(lms).tolist()) <= {2, 3}
 
     def test_segmented_plan_matches_per_unit_reference(self, rng):
-        cases = []
-        for _ in range(400):
-            s, hi, blocks = multi_block(rng)
-            cases.append((s, log_star(s.size), hi))
-            for block in blocks:  # alphabet_reduction is the pass on one block
-                assert np.array_equal(alphabet_reduction(block, alphabet_bound=hi),
-                                      _landmarks_scalar(block, hi))
-        for trial in range(36):
-            # windows of level strings, as pattern_evidence parses them
-            levels = []
-            g = build_grammar(text_family(rng, trial, rng.randrange(200, 4000)),
-                              record_levels=levels)
-            for lv, a in enumerate(levels[:-1], start=1):
-                for _ in range(4):
-                    i = rng.randrange(0, a.size - 1)
-                    j = rng.randrange(i + 2, min(a.size, i + 400) + 1)
-                    cases.append((a[i:j], g.level_threshold(lv), g.level_alphabet_bound(lv)))
+        cases, blocks = plan_windows(rng)
+        for block, hi in blocks:  # alphabet_reduction is the pass on one block
+            assert np.array_equal(alphabet_reduction(block, alphabet_bound=hi),
+                                  _landmarks_scalar(block, hi))
         joined = rebalanced = long_units = 0
         for s, thr, bound in cases:
             plan = plan_level(s, thr, bound)
@@ -275,10 +322,15 @@ class TestAlphabetReduction:
             assert np.array_equal(plan.sizes, sizes)
             assert np.array_equal(plan.uglo, uglo)
             assert np.array_equal(plan.ughi, ughi)
-            assert list(plan.t2info) == list(t2info)
-            for ui, (lms, anchors) in t2info.items():
-                assert np.array_equal(plan.t2info[ui][0], lms)
-                assert np.array_equal(plan.t2info[ui][1], anchors)
+            # the two columns hold the per-unit pieces; groups outside type2
+            # units of length >= 4 are unanchored
+            assert np.array_equal(plan.landmarks,
+                                  np.concatenate([np.int64([])] + [lms for lms, _ in t2info.values()]))
+            anchors = np.full(starts.size, -1, dtype=np.int64)
+            for ui, (_, anc) in t2info.items():
+                anchors[uglo[ui]:ughi[ui]] = anc
+            assert np.array_equal(plan.anchors, anchors)
+            for ui, (lms, _) in t2info.items():
                 u0 = int(plan.ustart[ui])
                 long_units += int(plan.uend[ui]) - u0 > 64
                 if lms[0] - u0 == 2:  # a leading single
@@ -302,6 +354,50 @@ class TestAlphabetReduction:
             radius = log_star(len(s)) + 5
             for p in lms ^ lms2:
                 assert e - radius <= p <= e + radius
+
+
+class TestStableGroupRange:
+    @staticmethod
+    def compare(s, thr, bound):
+        """The range from the anchor column and from the reference loop."""
+        s = np.int64(s)
+        plan = plan_level(s, thr, bound)
+        t2info = reference_plan(s, thr, bound)[4]
+        rounds = _label_iterations(bound)
+        got = _stable_group_range(plan, rounds)
+        assert got == stable_group_range_reference(plan, t2info, rounds), (s.tolist(), thr)
+        return got
+
+    def test_matches_reference_on_plan_windows(self, rng):
+        cases, _ = plan_windows(rng)
+        ranges = [self.compare(s, thr, bound) for s, thr, bound in cases]
+        assert sum(lo < hi for lo, hi in ranges) > 50
+
+    def test_edge_cases_match_reference(self, rng):
+        big = run_free(rng, 60, 9)
+        while big[0] == 1 or big[-1] == 2:  # keep the runs around it apart
+            big = run_free(rng, 60, 9)
+        cases = [
+            # type2 units shorter than 4 at the left, the right or both edges
+            ([5, 6, 7, 1, 1] + big + [2, 2], 3),
+            ([1, 1] + big + [2, 2, 8, 9, 4], 3),
+            ([5, 6, 7, 1, 1] + big + [2, 2, 8, 9, 4], 3),
+            ([5, 6, 1, 1] + big + [2, 2, 8, 9], 2),
+            # a 2-long run-free stretch at the right edge (type3, then type2),
+            # and a lone symbol there, which joins the run before it
+            ([1, 1] + big + [2, 2, 7, 9], 3),
+            (big + [2, 2, 7, 9], 2),
+            ([1, 1] + big + [2, 2, 7], 3),
+            # single-unit windows: one run, one short type2 unit, one type2
+            # unit of length >= 4
+            ([4] * 12, 3),
+            ([1, 2, 3], 3),
+            (big, 3),
+            (big[:12], 3),
+        ]
+        ranges = [self.compare(s, thr, 9) for s, thr in cases]
+        assert ranges[9][0] < ranges[9][1]  # the long type2 window keeps stable groups
+        assert ranges[7][0] >= ranges[7][1]  # a lone run has none
 
 
 class TestParseLevel:
