@@ -295,31 +295,22 @@ def _derive_level_lens(
 ) -> List[int]:
     """Length of the symbol string entering each parsing round.
 
-    Counts tree occurrences of every symbol top-down, excluding occurrences
-    as the inner node of a 2-2-tree (those never appear in a round's output
-    string).
+    Counts top-down how often each symbol is a node of the string its round
+    outputs.  A rule passes its count to its children, but an outer rule
+    (X, I) of a 3-group passes it to X and past I to I's children.  Every
+    target lies in an earlier round: one scatter-add per round.
     """
-    total = left.size
-    occ = np.zeros(total, dtype=np.int64)
-    inner_occ = np.zeros(total, dtype=np.int64)
+    occ = np.zeros(left.size, dtype=np.int64)
     occ[root] = 1
+    lens = [u] + [0] * (height - 1)
     for lv in range(height, 0, -1):
         lo, hi = int(level_starts[lv]), int(level_starts[lv + 1])
-        if lo >= hi:
-            continue
-        ids = np.arange(lo, hi, dtype=np.int64)
-        outer = right[ids] >= lo  # right child created in the same round
-        oids = ids[outer]
-        np.add.at(occ, left[oids], occ[oids])
-        np.add.at(occ, right[oids], occ[oids])
-        np.add.at(inner_occ, right[oids], occ[oids])
-        pids = ids[~outer]
-        np.add.at(occ, left[pids], occ[pids])
-        np.add.at(occ, right[pids], occ[pids])
-    lens = [u]
-    for lv in range(1, height):
-        lo, hi = int(level_starts[lv]), int(level_starts[lv + 1])
-        lens.append(int((occ[lo:hi] - inner_occ[lo:hi]).sum()))
+        seg, l, r = occ[lo:hi], left[lo:hi], right[lo:hi]
+        if lv < height:
+            lens[lv] = int(seg.sum())
+        outer = r >= lo  # right child created in the same round
+        targets = np.concatenate((l, np.where(outer, left[r], r), right[r[outer]]))
+        np.add.at(occ, targets, np.concatenate((seg, seg, seg[outer])))
     return lens
 
 
@@ -407,9 +398,8 @@ class EspIndex:
         self.A = LargeAlphabetSequence(self._right[self.sigma + 1 :], bound=total_syms)
 
         starts = _derive_level_starts(self.sigma, d1, self.u)
-        rounds = np.arange(starts.size - 1, dtype=np.min_scalar_type(starts.size - 2))
-        self.level_of = np.concatenate((rounds[:1], np.repeat(rounds, np.diff(starts))))
-        self.height = int(self.level_of[self.root])
+        # round k made symbols starts[k] .. starts[k+1] - 1 (round 0: terminals)
+        self.height = int(np.searchsorted(starts, self.root, side="right")) - 1
         # rules above the root's round are cut off: they keep length 0 and
         # fail the load checks
         self.level_starts = starts[: self.height + 2]
@@ -601,14 +591,16 @@ class EspIndex:
         the symbols in q (those included).
 
         No rule of a round before q's own can contain q, so the sweep starts
-        at the earliest such round.  Within a round, two passes: the first
+        at the earliest such round: the round of q's smallest symbol, since
+        ids rise round by round.  Within a round, two passes: the first
         settles rules whose children come from earlier rounds, the second the
         outer rules of 3-groups, whose right child is a first-stage rule of
         the same round.
         """
         mask = np.zeros(self.sigma + self.n + 1, dtype=bool)
         mask[q] = True
-        for lv in range(max(int(np.min(self.level_of[q])), 1), self.height + 1):
+        first = int(np.searchsorted(self.level_starts, np.min(q), side="right")) - 1
+        for lv in range(max(first, 1), self.height + 1):
             lo, hi = int(self.level_starts[lv]), int(self.level_starts[lv + 1])
             seg, l, r = mask[lo:hi], self._left[lo:hi], self._right[lo:hi]
             for _ in range(2):
@@ -814,7 +806,6 @@ class EspIndex:
             "left": [self._left],
             "right": [self._right],
             "lengths": [self._lengths],
-            "level_of": [self.level_of],
             "B": [self.B.words, self.B._block_ones, self.B._block_zeros],
             "A": [self.A.values, self.A._keys],
         }
@@ -902,10 +893,18 @@ class EspIndex:
         stored_crc = struct.unpack("<Q", data[off:])[0]
         if crc64(data[:off]) != stored_crc:
             raise ChecksumError("checksum mismatch")
-        if d2_width < 1 or d2_width > 64:
-            raise IndexLoadError("invalid packed-array width")
+        # the encoding is canonical, so a loaded index writes back the bytes
+        # it read: B holds sigma + 2n bits (none without rules), A is packed
+        # at the width of the largest symbol id, and padding bits are clear.
+        # b_bits < 2**64 bounds sigma + n, so the width is at most 64
+        if b_bits != (sigma + 2 * n if n else 0):
+            raise IndexLoadError("B's bit length is not sigma + 2n")
+        if d2_width != max(1, (sigma + n).bit_length()):
+            raise IndexLoadError("A's width is not the bit length of sigma + n")
         if (n * d2_width + 63) // 64 != d2_wordcount:
             raise TruncationError("A word count does not match n")
+        if d2_wordcount and int(d2_words[-1]) >> (n * d2_width - 64 * (d2_wordcount - 1)):
+            raise IndexLoadError("A's padding bits are not clear")
 
         present = np.flatnonzero(table)
         if present.size != sigma or not np.array_equal(
@@ -934,6 +933,8 @@ class EspIndex:
         left[sigma + 1 :] = d1
         right[sigma + 1 :] = d2
         idx = cls(sigma=sigma, n=n, u=u, root=root, alphabet=alphabet, left=left, right=right)
+        if not np.array_equal(idx.B.words, b_words):
+            raise IndexLoadError("B's padding bits are not clear")
         # derived lengths are the expansion lengths only if each is at least 1
         # and the sum of its children's: then a child is strictly shorter than
         # its parent, so no rule can reach itself and every expansion ends.

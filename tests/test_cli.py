@@ -154,16 +154,16 @@ def test_stats_accounting(corpus, capsys):
     payload = info["b_bytes"] + info["a_bytes"]
     assert payload + overhead <= info["file_bytes"] <= payload + overhead + 14
     assert "len_bytes" not in info
-    # resident bytes: three int64 columns and the uint8 level column; A's
-    # symbols are a view of the right column and count there only
+    # resident bytes: three int64 columns; A's symbols are a view of the
+    # right column and count there only
     symbols = info["sigma"] + info["n"] + 1
     for col in ("left", "right", "lengths"):
         assert info[f"resident_{col}_bytes"] == 8 * symbols
-    assert info["resident_level_of_bytes"] == symbols
+    assert "resident_level_of_bytes" not in info
     assert 0 < info["resident_a_bytes"] < 8 * info["n"]
     assert info["resident_b_bytes"] >= info["b_bytes"]
     parts = [v for k, v in info.items() if k.startswith("resident_") and k != "resident_bytes"]
-    assert len(parts) == 6 and sum(parts) == info["resident_bytes"]
+    assert len(parts) == 5 and sum(parts) == info["resident_bytes"]
 
     assert main(["stats", "-x", ifile]) == 0
     plain = capsys.readouterr().out

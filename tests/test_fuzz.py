@@ -5,7 +5,8 @@ mutant here carries a recomputed checksum, so only the structural checks of
 ``EspIndex.deserialize`` stand between it and the query code.  Each case must
 either raise ``IndexLoadError`` or load into an index whose ``extract`` and
 ``locate`` behave: the right number of bytes, and ascending, duplicate-free,
-in-range positions, within a time bound.
+in-range positions, within a time bound.  The encoding is canonical, so a
+loaded mutant also writes back exactly the bytes it was loaded from.
 
 Whether a loaded mutant answers *correctly* is not asserted: a file whose
 rules are no longer the ESP parse of its own text can pass every structural
@@ -138,6 +139,9 @@ def test_mutated_files_load_or_are_refused(layouts, tmp_path):
                 refused.append((kind, data))
             else:
                 loaded += 1
+                again = io.BytesIO()
+                idx.serialize(again)
+                assert again.getvalue() == data, kind
                 check_loaded(idx, rng)
             assert time.process_time() - t0 < SECONDS_PER_CASE, kind
     assert len(by_kind) == 6

@@ -31,6 +31,22 @@ from espindex.succinct import BitVector, LargeAlphabetSequence
 from conftest import fibonacci_text, near_duplicates, text_family
 
 
+def round_of(idx: EspIndex, x) -> np.ndarray:
+    """Parsing round that created each symbol of ``x`` (0 for terminals)."""
+    return np.searchsorted(idx.level_starts, x, side="right") - 1
+
+
+def inner_pairs_in_next_string(g: esp.Grammar, levels) -> int:
+    """First-stage rules that are some 3-group's inner pair and also a node
+    of the string their round outputs (``levels`` from ``record_levels``).
+    Such a rule's count must include its nodes but not its inner
+    occurrences, which the look-through of ``_derive_level_lens`` skips."""
+    rules = np.arange(g.sigma + 1, g.sigma + g.n + 1)
+    right = g.right[rules]
+    inner = np.unique(right[g.level_of[right] == g.level_of[rules]])
+    return int(np.isin(inner, np.concatenate(levels)).sum())
+
+
 def fixture_index() -> EspIndex:
     """The worked rule set: D1=[1,1,2,3], D2=[2,3,3,1] over two terminals;
     the root 6 -> (3, 1) -> ((1, 2), 1) derives three characters."""
@@ -259,7 +275,7 @@ class TestEvidence:
                 assert sum(r for _, r in ev.runs[: ev.core_index]) == k  # all raw terminals
                 assert 1 <= len(ev.core) <= 3
                 for x, o in ev.core:
-                    assert idx.level_of[x] == 1
+                    assert round_of(idx, x) == 1
                     ln = idx.symbol_length(x)
                     assert esp.expand(g, x) == p[o : o + ln]
                     assert o <= k < o + ln
@@ -407,7 +423,7 @@ class TestCandidatesAndVerification:
                 assert np.array_equal(idx._contains_mask(q), want), (t[:20], q)
             rules = np.arange(idx.sigma + 1, total + 1)
             inner = idx._right[rules]
-            same_round_inner += int(np.sum(idx.level_of[inner] == idx.level_of[rules]))
+            same_round_inner += int(np.sum(round_of(idx, inner) == round_of(idx, rules)))
         # first-stage rules of 3-groups, contained by an outer rule of their own round
         assert same_round_inner > 0
 
@@ -620,35 +636,43 @@ class TestLengthDerivation:
         return texts + [b"z", b"a" * 1000, b"ab" * 5000, near_duplicates(rng, 30000)]
 
     def test_derived_lengths_match_builder(self, rng):
+        looked_through = 0
         for t in self.texts(rng):
-            g = build_grammar(t)
+            levels = []
+            g = build_grammar(t, record_levels=levels)
+            looked_through += inner_pairs_in_next_string(g, levels)
             idx = encode(g)
             assert idx._lengths.dtype == g.lengths.dtype
             assert np.array_equal(idx._lengths, g.lengths), t[:20]
             buf = io.BytesIO()
             idx.serialize(buf)
             back = EspIndex.deserialize(buf.getvalue())
-            for name in ("_left", "_right", "_lengths", "level_of"):
+            for name in ("_left", "_right", "_lengths", "level_starts"):
                 want, got = getattr(idx, name), getattr(back, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (t[:20], name)
             assert back.level_lens == idx.level_lens == g.level_lens
             for x in (idx, back):
                 # a rule-less grammar has an empty A and nothing to share
                 assert np.shares_memory(x._right, x.A.values) or x.n == 0
-            assert back.level_of.dtype == np.uint8
+        assert looked_through > 0
 
 
 class TestLevelMetadata:
     def test_derived_levels_match_builder(self, rng):
+        looked_through = 0
         for trial in range(25):
             t = text_family(rng, trial, rng.randrange(2, 3000))
-            g = build_grammar(t)
+            levels = []
+            g = build_grammar(t, record_levels=levels)
+            looked_through += inner_pairs_in_next_string(g, levels)
             idx = encode(g)
             assert idx.level_lens == g.level_lens
-            assert np.array_equal(idx.level_of, g.level_of)
+            symbols = np.arange(1, g.sigma + g.n + 1)
+            assert np.array_equal(round_of(idx, symbols), g.level_of[1:])
             for lv in range(1, g.height + 1):
                 assert idx.level_bound(lv) == g.level_alphabet_bound(lv)
                 assert idx.level_threshold(lv) == g.level_threshold(lv)
+        assert looked_through > 0
 
 
 def crc64_bitwise(data: bytes, crc: int = 0) -> int:
@@ -850,7 +874,7 @@ class TestSerialization:
         # lengths derived at load break the sum rule, and loading must refuse it
         idx = encode(build_grammar(b"abracadabra" * 50))
         rules = np.arange(idx.sigma + 1, idx.sigma + idx.n + 1)
-        level = idx.level_of[rules]
+        level = round_of(idx, rules)
         outer = idx._right[rules] >= idx.level_starts[level]  # right child of its own round
         right = idx._right.copy()
         if mutation == "self_right_child":
@@ -883,6 +907,38 @@ class TestSerialization:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
         )
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("mutation, reason", [
+        ("b_length_plus_1", "bit length"), ("b_length_plus_2", "bit length"),
+        ("b_padding_bit", "B's padding"), ("a_padding_bit", "A's padding"),
+        ("a_wider", "A's width"),
+    ])
+    def test_non_canonical_encoding_is_refused(self, tmp_path, mutation, reason):
+        # each mutant decodes to the same rules and used to load, and then
+        # wrote back other bytes than it was loaded from
+        idx = encode(build_grammar(b"abracadabra" * 50))
+        buf = io.BytesIO()
+        idx.serialize(buf)
+        data = bytearray(buf.getvalue()[:-8])
+        b_bits = idx.B.length
+        a_at = 560 + 8 * ((b_bits + 63) // 64)  # A's width byte
+        width = data[a_at]
+        assert 1 <= b_bits % 64 <= 62 and idx.n * width % 64  # both last words have padding
+        if mutation.startswith("b_length"):
+            struct.pack_into("<Q", data, 552, b_bits + int(mutation[-1]))
+        elif mutation == "b_padding_bit":
+            data[a_at - 1] |= 0x80  # bit 63 of B's last word
+        elif mutation == "a_padding_bit":
+            data[-1] |= 0x80  # bit 63 of A's last word
+        else:  # one bit wider, with a word count to match
+            words = pack_ints(idx._right[idx.sigma + 1 :], width + 1)
+            data[a_at:] = struct.pack("<BQ", width + 1, words.size) + words.astype("<u8").tobytes()
+        data += struct.pack("<Q", crc64(bytes(data)))  # valid checksum
+        with pytest.raises(IndexLoadError, match=reason):
+            EspIndex.deserialize(bytes(data))
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(bytes(data))
+        assert cli.main(["extract", "-x", str(bad), "-p", "0", "-l", "1"]) == 3
 
     def test_duplicate_digram_is_refused(self, tmp_path):
         # symbol 5's right child set from 2 to 1 repeats symbol 4's digram
