@@ -223,6 +223,7 @@ def _cmd_bench(args) -> int:
     header = (
         "length", "samples", "count_ms_mean", "count_ms_median",
         "locate_ms_mean", "locate_ms_median", "occ_mean", "occc_mean",
+        "cand_mean", "waves_mean",
     )
     rows = []
     for length in lengths:
@@ -232,6 +233,8 @@ def _cmd_bench(args) -> int:
         locate_ms: List[float] = []
         occs: List[int] = []
         occ_cs: List[int] = []
+        cands: List[int] = []
+        waves: List[int] = []
         for _ in range(args.samples):
             start = rng.randrange(1, index.u - length + 2)
             pat = index.extract(start, length)
@@ -243,7 +246,9 @@ def _cmd_bench(args) -> int:
             hits = index.locate(pat, _stats=stats)
             locate_ms.append((time.perf_counter() - t0) * 1e3)
             occs.append(len(hits))
-            occ_cs.append(stats.get("occ_c", 0))
+            occ_cs.append(stats["occ_c"])
+            cands.append(stats["candidates"])
+            waves.append(stats["waves"])
             assert cnt == len(hits)
         rows.append({
             "length": length,
@@ -254,6 +259,8 @@ def _cmd_bench(args) -> int:
             "locate_ms_median": round(statistics.median(locate_ms), 3),
             "occ_mean": round(statistics.mean(occs), 2),
             "occc_mean": round(statistics.mean(occ_cs), 2),
+            "cand_mean": round(statistics.mean(cands), 2),
+            "waves_mean": round(statistics.mean(waves), 2),
         })
     if args.format == "json":
         json.dump(rows, sys.stdout, indent=0)

@@ -321,6 +321,19 @@ def _derive_level_lens(
 _LEFT_MARGIN_EXTRA = 6
 _RIGHT_ANCHOR_MARGIN = 8
 
+# root-to-node descents one confirmation wave may run: a wave checks about
+# _CONFIRM_BUDGET // candidates copies, and never fewer than twice the last
+# wave's.  Confirmation CPU ms per pattern (best of 5, median over up to 120
+# benchmark patterns per class at seed 1000; 2 vCPUs, CPython 3.11, numpy
+# 2.4) for budgets 0 (waves of 1, 2, 4, ...) / 256 / 1024 / 2048:
+#   versions |P|=1000 (3 candidates, 88 copies)   0.90 / 0.42 / 0.27 / 0.26
+#   genome   |P|=100  (10 candidates, 32 copies)  0.88 / 0.41 / 0.27 / 0.26
+#   logs     |P|=100  (263 candidates, 36 copies) 1.15 / 0.72 / 0.77 / 1.78
+#   genome   |P|=10   (5047 candidates, 7 copies) 3.29 / 3.23 / 3.17 / 3.76
+# Past about 1024, one wide wave checks copies that a narrower first wave
+# would have spared by dropping most candidates.
+_CONFIRM_BUDGET = 1024
+
 
 def _stable_group_range(plan: "esp.LevelPlan", label_rounds: int) -> Tuple[int, int]:
     """Group index range [lo, hi) whose tiling cannot depend on symbols
@@ -705,7 +718,9 @@ class EspIndex:
                 act, x, r, want = act[more], x[more], r[more], want[more]
         return node, pos - rem
 
-    def _confirm(self, ev: Evidence, cand: np.ndarray) -> np.ndarray:
+    def _confirm(
+        self, ev: Evidence, cand: np.ndarray, _stats: Optional[dict] = None
+    ) -> np.ndarray:
         """The candidates of :meth:`_candidates` at which the text matches the
         pattern whose evidence is ``ev``, in their given order.
 
@@ -714,8 +729,11 @@ class EspIndex:
         construction of the candidates: they are nodes labeled the core
         symbol, or the one lifted copy lies inside a node labeled one of its
         alternatives.  Each copy of every other run is confirmed as a node at
-        its offset, longest symbols first, in waves of 1, 2, 4, ... copies
-        (few copies while candidates are many).
+        its offset, longest symbols first, in waves of about
+        ``_CONFIRM_BUDGET // candidates`` copies that at least double: one
+        wave when candidates times copies fit the budget, and 1, 2, 4, ...
+        copies while candidates are many.  ``_stats`` receives ``copies`` and
+        ``waves``.
         """
         syms, offs = [], []
         off = 0
@@ -728,34 +746,39 @@ class EspIndex:
         lens = self._lengths[syms]
         order = np.argsort(-lens, kind="stable")
         syms, offs, lens = np.int64(syms)[order], np.int64(offs)[order], lens[order]
-        lo, width = 0, 1
+        lo, width, waves = 0, 0, 0
         while lo < syms.size and cand.size:
+            width = max(2 * width, _CONFIRM_BUDGET // cand.size, 1)
             wave = slice(lo, lo + width)
             pos = (cand[:, None] + offs[wave]).ravel()
             node, start = self._nodes_at(pos, np.tile(lens[wave], cand.size))
             hit = (node == np.tile(syms[wave], cand.size)) & (start == pos)
             cand = cand[hit.reshape(cand.size, -1).all(axis=1)]
-            lo, width = lo + width, 2 * width
+            lo, waves = lo + width, waves + 1
+        if _stats is not None:
+            _stats.update(waves=waves, copies=int(syms.size))
         return cand
 
     def locate(self, pattern: bytes, _stats: Optional[dict] = None) -> List[int]:
         """All 1-based start positions of the pattern, ascending, no duplicates.
 
         ``_stats`` receives ``occ_c`` (tree occurrences of every core
-        alternative), ``candidates`` (after the chain and range filters) and
-        ``evidence_runs``.
+        alternative), ``candidates`` (after the chain and range filters),
+        ``evidence_runs``, ``copies`` (evidence copies outside the core run)
+        and ``waves`` (the batched descents of :meth:`_nodes_at` that
+        confirmed them).
         """
         if len(pattern) == 0:
             raise ValueError("empty pattern")
         ev = self.pattern_evidence(pattern)
         if ev is None:
             if _stats is not None:
-                _stats.update(occ_c=0, candidates=0, evidence_runs=0)
+                _stats.update(occ_c=0, candidates=0, evidence_runs=0, copies=0, waves=0)
             return []
         cand, occ_c = self._candidates(ev, len(pattern))
         if _stats is not None:
             _stats.update(occ_c=occ_c, candidates=int(cand.size), evidence_runs=len(ev.runs))
-        return self._confirm(ev, cand).tolist()
+        return self._confirm(ev, cand, _stats).tolist()
 
     def count(self, pattern: bytes) -> int:
         """Number of occurrences (the size of locate's answer)."""

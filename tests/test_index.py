@@ -19,6 +19,7 @@ from espindex.index import (
     MagicError,
     TruncationError,
     VersionError,
+    _CONFIRM_BUDGET,
     _crc64_lanes,
     crc64,
     encode,
@@ -28,7 +29,7 @@ from espindex.index import (
 from espindex.oracle import naive_reverse_dict, naive_search
 from espindex.succinct import BitVector, LargeAlphabetSequence
 
-from conftest import fibonacci_text, near_duplicates, text_family
+from conftest import fibonacci_text, near_duplicates, random_text, text_family
 
 
 def round_of(idx: EspIndex, x) -> np.ndarray:
@@ -487,6 +488,57 @@ class TestCandidatesAndVerification:
                 checked += int(cand.size)
         assert checked > 500
 
+    @pytest.mark.parametrize("side", ["many_candidates", "few_candidates"])
+    def test_confirm_schedule_on_both_sides_of_the_budget(self, side, monkeypatch):
+        # a wave checks about _CONFIRM_BUDGET // candidates copies: 10-byte
+        # patterns of a random acgt text have more candidates than the budget
+        # and start at one copy per wave; 1000-byte patterns of near-copies
+        # have a few candidates and dozens of copies, confirmed in one wave.
+        # Each pattern also runs with one byte changed, so that candidates
+        # fail on a copy the first wave of a wide schedule would check.
+        # A budget of 0 gives waves of 1, 2, 4, ... copies whatever the
+        # candidates, and must give the same answer in no fewer waves
+        rng = random.Random(5)
+        if side == "many_candidates":
+            t, m = random_text(rng, 40_000, b"acgt"), 10
+        else:
+            t, m = near_duplicates(rng, 20_000, copies=4), 1000
+        idx = encode(build_grammar(t))
+        judged, kept, dropped = 0, 0, 0
+        for st in range(0, len(t) - m + 1, 1731):
+            p = bytearray(t[st : st + m])
+            for edit in (False, True):
+                if edit:
+                    k = rng.randrange(m)
+                    p[k] = rng.choice([c for c in set(t) if c != p[k]])
+                ev = idx.pattern_evidence(bytes(p))
+                if ev is None:
+                    continue
+                cand, _ = idx._candidates(ev, m)
+                stats = {}
+                got = idx._confirm(ev, cand, stats).tolist()
+                want = [s for s in cand.tolist() if idx.verify_candidate(s, bytes(p))]
+                assert got == want, (side, st, edit)
+                with monkeypatch.context() as mp:
+                    mp.setattr("espindex.index._CONFIRM_BUDGET", 0)
+                    doubling = {}
+                    assert idx._confirm(ev, cand, doubling).tolist() == got
+                assert stats["waves"] <= doubling["waves"]
+                located = {}
+                assert idx.locate(bytes(p), _stats=located) == got
+                assert (located["waves"], located["copies"]) == (stats["waves"], stats["copies"])
+                kept, dropped = kept + len(got), dropped + cand.size - len(got)
+                if side == "many_candidates" and cand.size > _CONFIRM_BUDGET:
+                    assert stats["waves"] > 1
+                    judged += 1
+                elif side == "few_candidates":
+                    assert cand.size * stats["copies"] <= _CONFIRM_BUDGET
+                    assert stats["copies"] >= 24
+                    assert stats["waves"] == (1 if cand.size else 0)
+                    judged += 1
+        assert judged >= 5 and kept and dropped
+
+
 class TestQueries:
     def test_count_examples(self):
         idx = encode(build_grammar(b"abab"))
@@ -907,6 +959,45 @@ class TestSerialization:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
         )
         assert proc.returncode == 3
+
+    def test_right_child_outside_its_round_breaks_the_sums(self):
+        # a right child must come from an earlier round, or be a first-stage
+        # rule of the same round.  Load has no check of its own for this:
+        # lengths are derived round by round, so a later round's symbol reads
+        # as length 0, and a same-round outer rule, or the rule itself, reads
+        # as not yet settled by the round's two passes; the sum rule refuses
+        # every such edit (all 8 415 on this text; a seeded sample runs here)
+        rng = random.Random(3)
+        t = b"".join(rng.choice([b"abcab", b"cabca", b"bbacb"]) for _ in range(120))
+        idx = encode(build_grammar(t))
+        syms = np.arange(1, idx.sigma + idx.n + 1)
+        level = round_of(idx, syms)
+        outer = np.zeros(syms.size + 1, dtype=bool)  # indexed by symbol id
+        outer[syms] = idx._right[syms] >= idx.level_starts[level]  # False for terminals
+        kinds = {"later_round": [], "self": [], "same_round_outer": []}
+        for x in syms[idx.sigma :].tolist():
+            lx = level[x - 1]
+            for y in syms.tolist():
+                if y == idx._right[x]:
+                    continue
+                if y == x:
+                    kinds["self"].append((x, y))
+                elif level[y - 1] > lx:
+                    kinds["later_round"].append((x, y))
+                elif level[y - 1] == lx and outer[y]:
+                    kinds["same_round_outer"].append((x, y))
+        assert sum(map(len, kinds.values())) == 8415
+        pick = random.Random(21)
+        for kind, edits in kinds.items():
+            assert len(edits) >= 60, kind
+            for x, y in pick.sample(edits, 60):
+                right = idx._right.copy()
+                right[x] = y
+                buf = io.BytesIO()
+                EspIndex(sigma=idx.sigma, n=idx.n, u=idx.u, root=idx.root,
+                         alphabet=idx.alphabet, left=idx._left, right=right).serialize(buf)
+                with pytest.raises(IndexLoadError, match="add up"):
+                    EspIndex.deserialize(buf.getvalue())  # the checksum is valid
 
     @pytest.mark.parametrize("mutation, reason", [
         ("b_length_plus_1", "bit length"), ("b_length_plus_2", "bit length"),
