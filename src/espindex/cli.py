@@ -223,7 +223,7 @@ def _cmd_bench(args) -> int:
     header = (
         "length", "samples", "count_ms_mean", "count_ms_median",
         "locate_ms_mean", "locate_ms_median", "occ_mean", "occc_mean",
-        "cand_mean", "waves_mean",
+        "cand_mean", "waves_mean", "lookups_mean",
     )
     rows = []
     for length in lengths:
@@ -235,6 +235,7 @@ def _cmd_bench(args) -> int:
         occ_cs: List[int] = []
         cands: List[int] = []
         waves: List[int] = []
+        lookups: List[int] = []
         for _ in range(args.samples):
             start = rng.randrange(1, index.u - length + 2)
             pat = index.extract(start, length)
@@ -249,6 +250,7 @@ def _cmd_bench(args) -> int:
             occ_cs.append(stats["occ_c"])
             cands.append(stats["candidates"])
             waves.append(stats["waves"])
+            lookups.append(stats["lookups"])
             assert cnt == len(hits)
         rows.append({
             "length": length,
@@ -261,6 +263,7 @@ def _cmd_bench(args) -> int:
             "occc_mean": round(statistics.mean(occ_cs), 2),
             "cand_mean": round(statistics.mean(cands), 2),
             "waves_mean": round(statistics.mean(waves), 2),
+            "lookups_mean": round(statistics.mean(lookups), 2),
         })
     if args.format == "json":
         json.dump(rows, sys.stdout, indent=0)

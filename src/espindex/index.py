@@ -7,14 +7,15 @@ when an index is built or loaded, one round of rules at a time.  The
 digram-to-rule map that existed at build time is simulated at query time:
 
     p = #{k : d1(k) < i}                    (= select_0(B, i) - i)
-    q = #{k : d1(k) <= i}                   (= select_0(B, i + 1) - (i + 1),
-                                             or n when that zero is absent)
-    r = select_j(A, rank_j(A, p) + 1)
-    rule = r  if r <= q  else  none
+    r = select_j(A, rank_j(A, p) + 1)       (= A.successor(j, p))
+    rule = r  if d1(r) = i  else  none
 
-Rules p+1..q are those with left child i.  ``p`` and ``q`` come from one
-``searchsorted`` each on the decoded left-child column that the index
-keeps resident; ``B`` stays the file's encoding of that column.
+Rules with left child i follow rule p, and ``r`` is the first rule after p
+with right child j, so ``d1(r) >= i`` and ``r`` has children (i, j) exactly
+when ``d1(r) = i``; no upper end of the left child's range is needed.  ``p``
+is one ``searchsorted`` on the decoded left-child column that the index
+keeps resident, ``r`` one successor probe on ``A``'s keys, and ``d1(r)`` a
+gather from that column; ``B`` stays the file's encoding of the column.
 
 Positions exposed by this module are 1-based throughout; the CLI converts to
 0-based at its boundary.
@@ -462,18 +463,25 @@ class EspIndex:
         j = np.asarray(rights, dtype=np.int64)
         scalar = i.ndim == 0 and j.ndim == 0
         i, j = np.atleast_1d(i, j)
-        # ids out of range need no mask: a left child below 1 or above
-        # sigma + n gives p = q, and a right child out of range is not in A
-        d1 = self._left[self.sigma + 1 :]
-        p = np.searchsorted(d1, i)  # rules p+1..q have left child i
-        q = np.searchsorted(d1, i, side="right")
-        r = self.A.select(j, self.A.rank(j, p) + 1)
-        out = np.where(r <= q, r, 0)  # r = 0 where absent
+        # ids out of range need no mask: no rule has a left child below 1 or
+        # above sigma + n, and a right child out of range is not in A
+        d1 = self._left[self.sigma :]  # d1[k]: left child of rule k (k >= 1)
+        p = np.searchsorted(d1[1:], i)  # rules with left child i follow rule p
+        r = self.A.successor(j, p)  # 0 where absent: then 0 whatever d1[0] is
+        out = np.where(d1[r] == i, r, 0)
         return (int(out[0]) or None) if scalar else out
 
     # -- pattern machinery --------------------------------------------------------
 
-    def pattern_evidence(self, pattern: bytes) -> Optional[Evidence]:
+    def _lookup(self, lefts: np.ndarray, rights: np.ndarray, _stats: Optional[dict]) -> np.ndarray:
+        """:meth:`reverse_lookup` of a batch, counted in ``_stats`` as one
+        of ``lookups`` and ``lefts.size`` of ``lookup_items``."""
+        if _stats is not None:
+            _stats["lookups"] += 1
+            _stats["lookup_items"] += lefts.size
+        return self.reverse_lookup(lefts, rights)
+
+    def pattern_evidence(self, pattern: bytes, _stats: Optional[dict] = None) -> Optional[Evidence]:
         """Parse the pattern like the builder would, resolving digrams through
         the reverse-dictionary simulation, and keep boundary symbols raw.
         Each level resolves all its digrams in two batched lookups.
@@ -481,11 +489,15 @@ class EspIndex:
         None means the pattern cannot occur: it uses a byte the text lacks,
         a digram strictly inside the stable region has no rule, or, with no
         stable group at level 1, some byte has no level-1 rule to cover it
-        (see :meth:`_level1_covers`).
+        (see :meth:`_level1_covers`).  ``_stats`` receives ``lookups``
+        (reverse-lookup batches, those of a parse that finds no rule
+        included) and ``lookup_items`` (digrams probed in them).
         """
         m = len(pattern)
         if m == 0:
             raise ValueError("empty pattern")
+        if _stats is not None:
+            _stats.update(lookups=0, lookup_items=0)
         if m > self.u:
             return None
         ids = self.byte_to_term[np.frombuffer(pattern, dtype=np.uint8)]
@@ -516,12 +528,12 @@ class EspIndex:
             # the inner (right) pair of a 3-group; then one for the outer rules
             tri = sizes == 3
             first = starts + tri
-            k = self.reverse_lookup(w[first], w[first + 1])
+            k = self._lookup(w[first], w[first + 1], _stats)
             if not k.all():
                 return None
             nxt = self.sigma + k
             if tri.any():
-                k = self.reverse_lookup(w[starts[tri]], nxt[tri])
+                k = self._lookup(w[starts[tri]], nxt[tri], _stats)
                 if not k.all():
                     return None
                 nxt[tri] = self.sigma + k
@@ -544,7 +556,7 @@ class EspIndex:
             raise AssertionError(f"evidence expansion covers {off} of {m} chars")
         core = ((runs[best][0], core_off),)
         if level == 1 and not w.size:  # no stable group: every symbol is a raw terminal
-            lift = self._level1_covers(ids)
+            lift = self._level1_covers(ids, _stats)
             if lift is not None:
                 core_off, core = lift
                 if not core:
@@ -559,7 +571,9 @@ class EspIndex:
             core=core,
         )
 
-    def _level1_covers(self, ids: np.ndarray) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+    def _level1_covers(
+        self, ids: np.ndarray, _stats: Optional[dict] = None
+    ) -> Optional[Tuple[int, Tuple[Tuple[int, int], ...]]]:
         """Lift one raw terminal of a pattern (terminal ids ``ids``) to the
         level-1 rules that can cover it.
 
@@ -575,18 +589,19 @@ class EspIndex:
         the fewest, ties going to the middle, among positions whose terminal
         differs from both neighbours (a run keeps its chain filter).  An
         empty tuple means some k has no alternative, so the pattern cannot
-        occur.  None when no position qualifies.
+        occur.  None when no position qualifies.  ``_stats``, when given,
+        counts the two lookups as :meth:`pattern_evidence` does.
         """
         m = ids.size
         ks = np.arange(1, m - 2)
         lone = np.flatnonzero((ids[ks] != ids[ks - 1]) & (ids[ks] != ids[ks + 1]))
         if not lone.size:
             return None
-        pair = self.reverse_lookup(ids[:-1], ids[1:])  # pair[j]: (P[j], P[j+1])
+        pair = self._lookup(ids[:-1], ids[1:], _stats)  # pair[j]: (P[j], P[j+1])
         inner = pair[ks + 1]
         has = inner > 0
         outer = np.zeros(ks.size, dtype=np.int64)
-        outer[has] = self.reverse_lookup(ids[ks[has]], self.sigma + inner[has])
+        outer[has] = self._lookup(ids[ks[has]], self.sigma + inner[has], _stats)
         alts = np.stack((pair[ks - 1], pair[ks], outer))  # rule ordinals, 0: none
         count = np.count_nonzero(alts, axis=0)
         if not count.all():
@@ -762,15 +777,16 @@ class EspIndex:
     def locate(self, pattern: bytes, _stats: Optional[dict] = None) -> List[int]:
         """All 1-based start positions of the pattern, ascending, no duplicates.
 
-        ``_stats`` receives ``occ_c`` (tree occurrences of every core
-        alternative), ``candidates`` (after the chain and range filters),
-        ``evidence_runs``, ``copies`` (evidence copies outside the core run)
-        and ``waves`` (the batched descents of :meth:`_nodes_at` that
-        confirmed them).
+        ``_stats`` receives ``lookups`` and ``lookup_items`` (the reverse
+        lookups of :meth:`pattern_evidence`), ``occ_c`` (tree occurrences of
+        every core alternative), ``candidates`` (after the chain and range
+        filters), ``evidence_runs``, ``copies`` (evidence copies outside the
+        core run) and ``waves`` (the batched descents of :meth:`_nodes_at`
+        that confirmed them).
         """
         if len(pattern) == 0:
             raise ValueError("empty pattern")
-        ev = self.pattern_evidence(pattern)
+        ev = self.pattern_evidence(pattern, _stats)
         if ev is None:
             if _stats is not None:
                 _stats.update(occ_c=0, candidates=0, evidence_runs=0, copies=0, waves=0)

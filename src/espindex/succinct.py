@@ -8,18 +8,19 @@ Position conventions (used consistently by the whole package):
 * ``LargeAlphabetSequence.rank(c, i)`` counts ``c`` among the first ``i``
   symbols (``i`` may be 0); ``access``/``select`` are 1-based.  Its rank and
   select are one ``searchsorted`` each on a sorted array of
-  ``(symbol << shift) | position`` keys (rank takes the difference of two).
+  ``(symbol << shift) | position`` keys (rank takes the difference of two),
+  and ``successor(c, i)``, which is ``select(c, rank(c, i) + 1)``, is one.
 
-``select`` past the last occurrence is a normal outcome, not an error: the
-reverse-dictionary simulation in the index depends on it.
+``select`` or ``successor`` past the last occurrence is a normal outcome,
+not an error: the reverse-dictionary simulation in the index depends on it.
 
-One method serves each rank and select, for one query or many.  The
-position, prefix or ordinal argument is an integer or a one-dimensional
+One method serves each rank, select and successor, for one query or many.
+The position, prefix or ordinal argument is an integer or a one-dimensional
 integer array; a sequence's symbol argument is one symbol or an array of the
 same length.  A scalar query runs as a batch of one and gives an int, or
-``None`` for a select past the last occurrence.  An array query gives an
-int64 array, with 0 for a select past the last occurrence (never a 1-based
-position).  An ordinal below 1 or a rank position out of range raises
+``None`` for a select or successor past the last occurrence.  An array query
+gives an int64 array, with 0 in that case (never a 1-based position).  An
+ordinal below 1 or a rank or successor prefix out of range raises
 ``IndexError`` for the whole batch.
 """
 
@@ -219,10 +220,11 @@ class LargeAlphabetSequence:
     ``i`` in ``[0, n]`` and any ``c`` up to ``bound + 1``, the symbol that
     stands in for one out of range.  rank is the distance between the ``searchsorted``
     of ``(c, i)`` and of ``(c, 0)``; select is one ``searchsorted`` of
-    ``(c, 0)`` plus a gather and a symbol check; access reads the symbol
-    array.  The keys are uint32 when ``(bound + 1).bit_length() + shift``
-    is at most 32 bits and uint64 otherwise, and every probe is built in
-    that dtype, so no call converts the key array.  The symbol array is the
+    ``(c, 0)`` plus a gather and a symbol check, and successor the same
+    with ``(c, i)``; access reads the symbol array.  The keys are uint32
+    when ``(bound + 1).bit_length() + shift`` is at most 32 bits and uint64
+    otherwise, and every probe is built in that dtype, so no call converts
+    the key array.  The symbol array is the
     caller's, not a copy, when it is already an int64 array (the index
     passes a view of its right-child column).
     """
@@ -268,15 +270,30 @@ class LargeAlphabetSequence:
         c = np.asarray(symbols, dtype=np.int64).view(np.uint64)
         return np.minimum(c, self._past).astype(self._keys.dtype, copy=False) << self._shift
 
+    def _probe(self, symbols, prefixes):
+        """Heads ``(c, 0)`` and the index of the first key at or after
+        ``(c, i)`` for each symbol and prefix (a prefix in [0, n])."""
+        i = np.asarray(prefixes, dtype=np.int64)
+        if i.size and i.view(np.uint64).max() > self.n:  # a negative one wraps past n
+            raise IndexError(f"prefix out of range [0, {self.n}]")
+        head = self._heads(symbols)
+        return head, np.searchsorted(self._keys, head | i.astype(head.dtype))
+
+    def _position(self, head, at):
+        """1-based position of the key at index ``at`` if it carries the
+        symbol of ``head``, else 0 (``None`` for one scalar query).  The key
+        carries it when its xor with the head, its position, is below one
+        span."""
+        pos = self._keys[np.minimum(at, self.n - 1)] ^ head if self.n else head
+        found = (at < self.n) & (pos < self._span)
+        out = np.where(found, pos.astype(np.int64) + 1, 0)
+        return (int(out) or None) if out.ndim == 0 else out
+
     def rank(self, symbols, prefixes):
         """Occurrences of each symbol among the first ``prefixes`` symbols
         (a prefix in [0, n]).  An int when both are scalars, else an int64
         array."""
-        i = np.asarray(prefixes, dtype=np.int64)
-        if i.size and i.view(np.uint64).max() > self.n:  # a negative one wraps past n
-            raise IndexError(f"rank prefix out of range [0, {self.n}]")
-        head = self._heads(symbols)
-        at = np.searchsorted(self._keys, head | i.astype(head.dtype))
+        head, at = self._probe(symbols, prefixes)
         out = at - np.searchsorted(self._keys, head)
         return int(out) if out.ndim == 0 else out
 
@@ -288,14 +305,16 @@ class LargeAlphabetSequence:
         if k.size and k.min() < 1:
             raise IndexError("select ordinals must be >= 1")
         head = self._heads(symbols)
-        at = np.searchsorted(self._keys, head) + (k - 1)
         # the key k - 1 places past the symbol's head is its k-th occurrence
-        # if it carries the symbol: then its xor with the head, its position,
-        # is below one span
-        pos = self._keys[np.minimum(at, self.n - 1)] ^ head if self.n else head
-        found = (at < self.n) & (pos < self._span)
-        out = np.where(found, pos.astype(np.int64) + 1, 0)
-        return (int(out) or None) if out.ndim == 0 else out
+        return self._position(head, np.searchsorted(self._keys, head) + (k - 1))
+
+    def successor(self, symbols, prefixes):
+        """1-based position of the first occurrence of each symbol after the
+        first ``prefixes`` symbols, ``select(c, rank(c, i) + 1)``, in one
+        ``searchsorted``: the first key at or after ``(c, i)``.  Scalars and
+        absence as in :meth:`select`; a prefix outside [0, n] raises
+        ``IndexError`` as in :meth:`rank`."""
+        return self._position(*self._probe(symbols, prefixes))
 
     def count(self, c: int) -> int:
         return self.rank(c, self.n)

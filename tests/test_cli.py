@@ -238,26 +238,30 @@ def test_bench_occurrences_match_oracle(corpus, capsys):
 
 
 def test_bench_reports_candidates_and_waves(corpus, capsys):
-    # cand_mean and waves_mean follow the older columns and come from
-    # locate's _stats on the patterns the bench draws
+    # cand_mean, waves_mean and lookups_mean follow the older columns and
+    # come from locate's _stats on the patterns the bench draws
     _, _, ifile = corpus
     args = ["bench", "-x", ifile, "--lengths", "12,300", "--samples", "5", "--seed", "4"]
     assert main(args) == 0
     header = capsys.readouterr().out.splitlines()[0].split("\t")
-    assert header[6:] == ["occ_mean", "occc_mean", "cand_mean", "waves_mean"]
+    assert header[6:] == ["occ_mean", "occc_mean", "cand_mean", "waves_mean", "lookups_mean"]
     assert main(args + ["--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     idx = EspIndex.load(ifile)
     rng = random.Random(4)
     for row in rows:
-        cands, waves = [], []
+        cands, waves, lookups = [], [], []
         for _ in range(5):
             start = rng.randrange(1, idx.u - row["length"] + 2)
             stats = {}
             idx.locate(idx.extract(start, row["length"]), _stats=stats)
             cands.append(stats["candidates"])
             waves.append(stats["waves"])
+            lookups.append(stats["lookups"])
         assert row["cand_mean"] == pytest.approx(sum(cands) / 5)
         assert row["waves_mean"] == pytest.approx(sum(waves) / 5)
+        assert row["lookups_mean"] == pytest.approx(sum(lookups) / 5)
     # a few candidates of 300-byte patterns in three near-copies: one wave each
     assert rows[1]["waves_mean"] == 1
+    # a 300-byte pattern parses more levels, each with one or two batches
+    assert rows[1]["lookups_mean"] > rows[0]["lookups_mean"] > 0

@@ -182,12 +182,12 @@ class TestReverseLookup:
         assert bare.reverse_lookup([0, 1, 1, 2], [1, 0, 1, 1]).tolist() == [0, 0, 0, 0]
 
     def test_locate_calls_the_plain_methods(self, monkeypatch):
-        # a per-layer trace wraps reverse_lookup, select and rank by name, so
-        # the query path must run through those names, not through a twin;
-        # the rule range of a left child comes from d1, not from B
+        # a per-layer trace wraps reverse_lookup by name, so the query path
+        # must run through it, not through a twin; each lookup batch is one
+        # successor probe on A, never rank then select, and the rule range
+        # of a left child comes from d1, not from B
         calls = {}
-        for cls, name in ((EspIndex, "reverse_lookup"), (LargeAlphabetSequence, "rank"),
-                          (LargeAlphabetSequence, "select")):
+        for cls, name in ((EspIndex, "reverse_lookup"), (LargeAlphabetSequence, "successor")):
             key = f"{cls.__name__}.{name}"
             calls[key] = 0
 
@@ -198,14 +198,46 @@ class TestReverseLookup:
             monkeypatch.setattr(cls, name, counted)
 
         def refused(*args):
-            raise AssertionError("the query path selects or ranks on B")
+            raise AssertionError("the query path selects or ranks on B or A")
 
-        for name in ("rank", "select"):
-            monkeypatch.setattr(BitVector, name, refused)
+        for cls in (BitVector, LargeAlphabetSequence):
+            for name in ("rank", "select"):
+                monkeypatch.setattr(cls, name, refused)
         t = near_duplicates(random.Random(8), 6000)
         idx = encode(build_grammar(t))
-        assert 1001 in idx.locate(t[1000:1100])
+        absent = bytearray(t[2000:2100])
+        absent[50] ^= 0x55  # its parse stops on a digram without a rule
+        starts = {t[1000:1100]: 1001, t[3000:3010]: 3001, bytes(absent): None, t[:1500]: 1}
+        for pattern, start in starts.items():
+            before = calls["LargeAlphabetSequence.successor"]
+            stats = {}
+            hits = idx.locate(pattern, _stats=stats)
+            assert calls["LargeAlphabetSequence.successor"] - before == stats["lookups"] > 0
+            assert stats["lookup_items"] >= stats["lookups"]
+            assert (start in hits) if start else hits == []
         assert all(calls.values()), calls
+
+    def test_one_batch_walks_d1_and_the_keys_once_each(self, monkeypatch):
+        # a lookup batch is one searchsorted on d1 and one on A's keys,
+        # whatever the batch holds
+        g = build_grammar(near_duplicates(random.Random(8), 6000))
+        idx = encode(g)
+        pairs = list(naive_reverse_dict(g))[:200] + [(1, 1), (0, 5), (g.sigma + g.n + 1, 2)]
+        lefts, rights = (np.int64(c) for c in zip(*pairs))
+        walked = []
+        plain = np.searchsorted
+
+        def counted(a, *args, **kwargs):
+            walked.append(a)
+            return plain(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        for batch in ((lefts, rights), (lefts[:1], rights[:1]), (int(lefts[0]), int(rights[0]))):
+            walked.clear()
+            idx.reverse_lookup(*batch)
+            assert len(walked) == 2
+            assert np.shares_memory(walked[0], idx._left) and walked[0].size == idx.n
+            assert walked[1] is idx.A._keys
 
 
 class TestEvidence:

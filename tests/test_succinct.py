@@ -301,6 +301,55 @@ class TestBatched:
         assert [seq.select(int(c), int(k)) for c, k in zip(cs[few], ks[few])] == \
             [p or None for p in expect_sel[few]]
 
+    @pytest.mark.parametrize("bound, key_dtype", [(300, np.uint32), (2**20, np.uint64)])
+    def test_successor_against_rank_then_select(self, bound, key_dtype):
+        # successor(c, i) is select(c, rank(c, i) + 1), 0 where absent, and
+        # the first 1-based position past i holding c in a linear scan
+        rng = np.random.default_rng(bound)
+        n = 3000
+        vals = rng.integers(1, 280, n)  # symbols 280..bound never occur
+        seq = LargeAlphabetSequence(vals, bound=bound)
+        assert seq._keys.dtype == key_dtype
+        cs = rng.integers(-2, 300, 5000)
+        cs[:6] = (0, -1, bound, bound + 1, vals[0], vals[-1])
+        prefixes = rng.integers(0, n + 1, cs.size)
+        prefixes[:12] = (0,) * 6 + (n,) * 6
+        cs[6:12] = cs[:6]
+        ranked = seq.rank(cs, prefixes) + 1
+        expect = seq.select(cs, ranked)
+        got = seq.successor(cs, prefixes)
+        assert got.dtype == np.int64 and got.tolist() == expect.tolist()
+        scan = []
+        for c, i in zip(cs.tolist(), prefixes.tolist()):
+            at = np.flatnonzero(vals[i:] == c)
+            scan.append(i + int(at[0]) + 1 if at.size else 0)
+        assert got.tolist() == scan
+        assert np.count_nonzero(got) and not got.all()  # both outcomes occur
+        c = int(vals[0])  # one symbol for the whole batch
+        assert seq.successor(c, np.arange(n + 1)).tolist() == \
+            seq.select(c, seq.rank(c, np.arange(n + 1)) + 1).tolist()
+        few = slice(0, 300)  # a scalar query is a batch of one, None where 0
+        assert [seq.successor(int(c), int(i)) for c, i in zip(cs[few], prefixes[few])] == \
+            [p or None for p in scan[few]]
+        assert type(seq.successor(c, 0)) is int and seq.successor(c, 0) == 1
+        for prefix in (-1, n + 1):
+            for bad in ((c, prefix), ([c], [prefix]), ([c, c], [0, prefix])):
+                with pytest.raises(IndexError):
+                    seq.successor(*bad)
+
+    def test_successor_edges(self):
+        seq = LargeAlphabetSequence([2, 3, 3, 1])
+        assert seq.successor([3, 3, 3, 3, 3], [0, 1, 2, 3, 4]).tolist() == [2, 2, 3, 0, 0]
+        assert seq.successor([2, 1, 4, 0, -1], [0, 0, 0, 0, 0]).tolist() == [1, 4, 0, 0, 0]
+        assert seq.successor([], []).size == 0
+        assert seq.successor(3, 3) is None and seq.successor(1, 3) == 4
+        empty = LargeAlphabetSequence([])
+        assert empty.successor([1, 0], [0, 0]).tolist() == [0, 0]
+        assert empty.successor(1, 0) is None
+        for bad in ((1, 1), ([1], [-1])):
+            with pytest.raises(IndexError):
+                empty.successor(*bad)
+
     def test_sequence_edges(self):
         seq = LargeAlphabetSequence([2, 3, 3, 1])
         assert seq.select([3, 3, 3], [1, 2, 3]).tolist() == [2, 3, 0]
